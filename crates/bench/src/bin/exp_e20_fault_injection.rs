@@ -25,8 +25,7 @@ use std::time::Duration;
 use streammeta_analyze::tracelint;
 use streammeta_core::{
     FallbackPolicy, FaultAction, FaultPlan, FaultSchedule, ItemDef, MetadataKey, MetadataManager,
-    MetadataValue, NodeId, NodeRegistry, RingBufferSink, RotatingFileSink, TraceEvent, TraceRecord,
-    TraceSink,
+    MetadataValue, NodeId, NodeRegistry, RingBufferSink, RotatingFileSink, TeeSink, TraceEvent,
 };
 use streammeta_engine::run_threaded;
 use streammeta_graph::{FilterPredicate, MetadataConfig, QueryGraph};
@@ -40,21 +39,6 @@ const POLICY: FallbackPolicy = FallbackPolicy {
     quarantine_after: 3,
     cool_down: TimeSpan(100),
 };
-
-/// Fans trace records out to the in-memory ring (for the in-process
-/// checks below) and the rotating file (the JSONL CI re-lints with the
-/// `tracelint` binary).
-struct Tee {
-    ring: Arc<RingBufferSink>,
-    file: Arc<RotatingFileSink>,
-}
-
-impl TraceSink for Tee {
-    fn record(&self, record: TraceRecord) {
-        self.ring.record(record.clone());
-        self.file.record(record);
-    }
-}
 
 fn phase1_deterministic() {
     println!("— phase 1: 10 periodic items, 60 windows, deterministic faults —\n");
@@ -107,14 +91,10 @@ fn phase1_deterministic() {
     let file_sink = std::fs::create_dir_all(&out_dir).ok().and_then(|()| {
         RotatingFileSink::create(format!("{out_dir}/e20_trace.jsonl"), 8 << 20).ok()
     });
+    // The in-memory ring feeds the in-process checks below; the rotating
+    // file is the JSONL CI re-lints with the `tracelint` binary.
     match &file_sink {
-        Some(file) => {
-            manager.set_file_trace(Some(file.clone()));
-            manager.set_trace_sink(Some(Arc::new(Tee {
-                ring: sink.clone(),
-                file: file.clone(),
-            })));
-        }
+        Some(file) => manager.set_trace_sink(Some(TeeSink::new(vec![sink.clone(), file.clone()]))),
         None => manager.set_trace_sink(Some(sink.clone())),
     }
     manager.install_meta_node(TimeSpan(50));

@@ -25,8 +25,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use streammeta_core::{
-    ItemDef, MetadataKey, MetadataManager, MetadataValue, NodeId, NodeRegistry, Subscription,
-    SystemRelation,
+    ItemDef, MetadataKey, MetadataManager, MetadataValue, NodeId, NodeRegistry, RingBufferSink,
+    Subscription, SystemRelation,
 };
 use streammeta_cql::{attach_system, install_continuous, query_once, Catalog};
 use streammeta_profiler::render_relation;
@@ -181,7 +181,7 @@ fn main() {
     // 3. Refresh overhead: plain vs trace bus vs trace + continuous query.
     println!("\n— refresh overhead ({WINDOWS} windows per configuration) —");
     let plain_us = churn(&clock, &manager, WINDOWS);
-    manager.enable_catalog_trace(4096);
+    manager.set_trace_sink(Some(RingBufferSink::new(4096)));
     let trace_us = churn(&clock, &manager, WINDOWS);
 
     let alert = install_continuous(&catalog, ALERT_QUERY, PERIOD).expect("install alert");

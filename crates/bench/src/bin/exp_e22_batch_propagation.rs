@@ -120,7 +120,6 @@ fn write_lint_trace(out_dir: &str) {
         }
     };
     let (manager, state, subs) = build(8);
-    manager.set_file_trace(Some(file.clone()));
     manager.set_trace_sink(Some(file.clone()));
 
     drive(&manager, &state, 4, false);
@@ -196,11 +195,11 @@ fn main() {
             max_delay: TimeSpan(u64::MAX),
         }));
         drive(&manager, &state, updates / 8, true);
-        let epochs_before = manager.epoch_count();
-        let coalesced_before = manager.coalesced_update_count();
+        let before = manager.stats();
         let epoch = drive(&manager, &state, updates, true);
-        let epochs = manager.epoch_count() - epochs_before;
-        let coalesced = manager.coalesced_update_count() - coalesced_before;
+        let after = manager.stats();
+        let epochs = after.epochs - before.epochs;
+        let coalesced = after.coalesced_updates - before.coalesced_updates;
 
         let speedup = epoch.updates_per_sec / per_event.updates_per_sec.max(1e-9);
         println!(

@@ -112,7 +112,6 @@ fn lineage_phase(out_dir: &str) -> (u64, u64) {
         })
         .collect();
     manager.set_span_sampling(SpanSampling::Ratio(1));
-    manager.set_file_trace(Some(file.clone()));
     manager.set_trace_sink(Some(file.clone()));
 
     drive(&manager, &state, 4);

@@ -173,7 +173,7 @@ fn containment_episode() -> String {
             clock.advance(TimeSpan(10));
             manager.periodic().advance_to(clock.now());
         }
-        assert!(manager.quarantine_trip_count() > 0, "fixture must trip");
+        assert!(manager.stats().quarantine_trips > 0, "fixture must trip");
         broken.store(0, Ordering::SeqCst);
         for _ in 0..8 {
             clock.advance(TimeSpan(10));

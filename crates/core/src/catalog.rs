@@ -54,8 +54,9 @@ pub enum SystemRelation {
     /// `sys.quarantine`: containment state of items with a fallback
     /// policy.
     Quarantine,
-    /// `sys.trace`: a bounded tail of the trace bus as rows (requires
-    /// [`MetadataManager::enable_catalog_trace`]).
+    /// `sys.trace`: a bounded tail of the trace bus as rows (requires a
+    /// [`crate::RingBufferSink`] installed as, or teed into, the trace
+    /// sink).
     Trace,
     /// `sys.spans`: finished causal lineage spans (requires
     /// [`MetadataManager::enable_catalog_spans`] plus span sampling).
@@ -244,17 +245,14 @@ fn period_cell(h: &Handler) -> MetadataValue {
     }
 }
 
-fn opt_u64(v: Option<u64>) -> MetadataValue {
-    v.map_or(MetadataValue::Unavailable, MetadataValue::U64)
-}
-
 impl MetadataManager {
     /// Materialises one system relation as rows of cells, ordered by the
     /// relation's columns (see [`SystemRelation::columns`]) and sorted by
     /// item key so repeated snapshots of unchanged state are identical.
     ///
-    /// `sys.trace` is empty unless [`Self::enable_catalog_trace`] has
-    /// installed the backing ring buffer.
+    /// `sys.trace` has record rows only while the installed trace sink
+    /// is or contains a [`crate::RingBufferSink`], and a `trace_file`
+    /// row only while it is or contains a [`crate::RotatingFileSink`].
     pub fn catalog_rows(&self, relation: SystemRelation) -> Vec<Vec<MetadataValue>> {
         let now = self.clock().now();
         match relation {
@@ -283,8 +281,10 @@ impl MetadataManager {
                 .handlers_snapshot()
                 .iter()
                 .map(|h| {
-                    let lat = h.latency.snapshot();
-                    let pct = |p: f64| opt_u64(lat.percentile(p).map(|v| v.max(0) as u64));
+                    let quantiles = h.latency_quantiles();
+                    let pct = |i: usize| {
+                        quantiles.map_or(MetadataValue::Unavailable, |q| MetadataValue::U64(q[i]))
+                    };
                     let mut row = identity(h).to_vec();
                     row.extend([
                         MetadataValue::text(h.def.mechanism().label()),
@@ -295,9 +295,9 @@ impl MetadataManager {
                         MetadataValue::U64(h.access_count()),
                         MetadataValue::U64(h.update_count()),
                         MetadataValue::U64(h.compute_count()),
-                        pct(0.50),
-                        pct(0.95),
-                        pct(0.99),
+                        pct(0),
+                        pct(1),
+                        pct(2),
                         MetadataValue::U64(h.last_epoch()),
                     ]);
                     row
@@ -393,10 +393,12 @@ impl MetadataManager {
                 })
                 .collect(),
             SystemRelation::Trace => {
-                let mut rows: Vec<Vec<MetadataValue>> = self
-                    .catalog_trace()
-                    .map(|sink| {
-                        sink.snapshot()
+                let sink = self.trace_sink();
+                let mut rows: Vec<Vec<MetadataValue>> = sink
+                    .as_ref()
+                    .and_then(|sink| sink.ring())
+                    .map(|ring| {
+                        ring.snapshot()
                             .into_iter()
                             .map(|rec| {
                                 vec![
@@ -412,11 +414,11 @@ impl MetadataManager {
                             .collect()
                     })
                     .unwrap_or_default();
-                // A registered rotating file sink contributes one
+                // An installed rotating file sink contributes one
                 // `trace_file` summary row so rotation is observable
                 // through the catalog (a wrapped-but-unnoticed trace is
                 // exactly the failure mode the rotating sink prevents).
-                if let Some(file) = self.file_trace() {
+                if let Some(file) = sink.as_ref().and_then(|sink| sink.file()) {
                     rows.push(vec![
                         MetadataValue::U64(file.records_written()),
                         MetadataValue::Time(now),
@@ -467,7 +469,10 @@ impl MetadataManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DepTarget, ItemDef, MetadataKey, NodeRegistry};
+    use crate::{
+        DepTarget, ItemDef, MetadataKey, NodeRegistry, RingBufferSink, RotatingFileSink, TeeSink,
+        TraceSink,
+    };
     use streammeta_time::{Clock, TimeSpan, VirtualClock};
 
     fn setup() -> (Arc<VirtualClock>, Arc<MetadataManager>) {
@@ -543,21 +548,30 @@ mod tests {
     }
 
     #[test]
-    fn trace_relation_requires_catalog_trace() {
+    fn trace_relation_reads_the_installed_ring() {
         let (clock, manager) = setup();
         assert!(manager.catalog_rows(SystemRelation::Trace).is_empty());
-        let sink = manager.enable_catalog_trace(16);
-        let _rate = manager
-            .subscribe(MetadataKey::new(NodeId(1), "rate"))
-            .unwrap();
-        clock.advance(TimeSpan(10));
-        manager.periodic().advance_to(clock.now());
-        assert!(!sink.is_empty());
-        let rows = manager.catalog_rows(SystemRelation::Trace);
-        assert_eq!(rows.len(), sink.len());
-        let arity = SystemRelation::Trace.columns().len();
-        assert!(rows.iter().all(|r| r.len() == arity));
-        assert_eq!(rows[0][2].as_text(), Some("subscribe"));
+        // A ring installed as the plain trace sink — and one nested in a
+        // tee — is what `sys.trace` materialises.
+        let plain = RingBufferSink::new(16);
+        let nested = RingBufferSink::new(16);
+        for (sink, ring) in [
+            (plain.clone() as Arc<dyn TraceSink>, plain),
+            (TeeSink::new(vec![nested.clone()]), nested),
+        ] {
+            manager.set_trace_sink(Some(sink));
+            let _rate = manager
+                .subscribe(MetadataKey::new(NodeId(1), "rate"))
+                .unwrap();
+            clock.advance(TimeSpan(10));
+            manager.periodic().advance_to(clock.now());
+            assert!(!ring.is_empty());
+            let rows = manager.catalog_rows(SystemRelation::Trace);
+            assert_eq!(rows.len(), ring.len());
+            let arity = SystemRelation::Trace.columns().len();
+            assert!(rows.iter().all(|r| r.len() == arity));
+            assert_eq!(rows[0][2].as_text(), Some("subscribe"));
+        }
     }
 
     #[test]
@@ -565,15 +579,29 @@ mod tests {
         let (_clock, manager) = setup();
         let dir = std::env::temp_dir().join(format!("streammeta_cat_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let sink =
-            crate::trace::RotatingFileSink::create(dir.join("cat_trace.jsonl"), 4096).unwrap();
-        manager.set_file_trace(Some(sink));
+        let file = RotatingFileSink::create(dir.join("cat_trace.jsonl"), 4096).unwrap();
+        // A file sink that exists but is not installed reports nothing.
+        assert!(manager.catalog_rows(SystemRelation::Trace).is_empty());
+        manager.set_trace_sink(Some(file.clone()));
         let rows = manager.catalog_rows(SystemRelation::Trace);
         assert_eq!(rows.len(), 1, "summary row even with no ring installed");
         assert_eq!(rows[0][2].as_text(), Some("trace_file"));
         let detail = rows[0][4].as_text().unwrap();
         assert!(detail.contains("rotations=0"), "{detail}");
-        manager.set_file_trace(None);
+        // Teed with a ring: the ring's records, then the summary row —
+        // which counts records the file really received.
+        let ring = RingBufferSink::new(16);
+        manager.set_trace_sink(Some(TeeSink::new(vec![ring.clone(), file.clone()])));
+        let _size = manager
+            .subscribe(MetadataKey::new(NodeId(1), "size"))
+            .unwrap();
+        let rows = manager.catalog_rows(SystemRelation::Trace);
+        assert_eq!(rows.len(), ring.len() + 1);
+        let summary = rows.last().unwrap();
+        assert_eq!(summary[2].as_text(), Some("trace_file"));
+        assert_eq!(summary[0].as_u64(), Some(ring.len() as u64));
+        assert_eq!(file.records_written(), ring.len() as u64);
+        manager.set_trace_sink(None);
         assert!(manager.catalog_rows(SystemRelation::Trace).is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -614,7 +642,8 @@ mod tests {
     #[test]
     fn tail_returns_most_recent_records() {
         let (clock, manager) = setup();
-        let sink = manager.enable_catalog_trace(64);
+        let sink = RingBufferSink::new(64);
+        manager.set_trace_sink(Some(sink.clone()));
         let _rate = manager
             .subscribe(MetadataKey::new(NodeId(1), "rate"))
             .unwrap();

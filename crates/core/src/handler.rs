@@ -10,7 +10,7 @@
 //! shared by reference count, and removed when the count reaches zero.
 
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::sync::{LockTier, TieredMutex, TieredRwLock};
 use streammeta_time::{TaskId, Timestamp};
@@ -225,9 +225,11 @@ pub(crate) struct Handler {
     /// report [`crate::MetadataError::Excluded`] and dropping a pinned
     /// handle must not decrement a fresh re-inclusion's refcount.
     defunct: AtomicBool,
-    /// Compute-latency distribution in nanoseconds. Observed only while
-    /// the manager's latency profiling switch is on.
-    pub(crate) latency: Arc<HistogramMonitor>,
+    /// Compute-latency distribution in nanoseconds, allocated by the
+    /// first profiled evaluation: an item that is never profiled (the
+    /// manager's latency profiling switch is the gate) never pays for
+    /// the buckets.
+    latency: OnceLock<Arc<HistogramMonitor>>,
 }
 
 impl Handler {
@@ -252,13 +254,43 @@ impl Handler {
             computes: AtomicU64::new(0),
             last_epoch: AtomicU64::new(0),
             defunct: AtomicBool::new(false),
-            latency: {
+            latency: OnceLock::new(),
+        }
+    }
+
+    /// Records one profiled compute evaluation of `ns` nanoseconds.
+    pub(crate) fn observe_latency(&self, ns: i64) {
+        self.latency
+            .get_or_init(|| {
                 let h = HistogramMonitor::new(0, LATENCY_HI_NS, LATENCY_BUCKETS);
                 // The manager's profiling flag is the real gate; the
                 // histogram itself stays armed for the handler's lifetime.
                 h.activation().activate();
                 h
-            },
+            })
+            .observe(ns);
+    }
+
+    /// Compute-latency p50/p95/p99 in nanoseconds, from one snapshot of
+    /// the histogram; `None` if no evaluation was ever profiled.
+    pub(crate) fn latency_quantiles(&self) -> Option<[u64; 3]> {
+        let snapshot = self.latency.get()?.snapshot();
+        let q = |p| snapshot.percentile(p).map(|v| v.max(0) as u64);
+        Some([q(0.50)?, q(0.95)?, q(0.99)?])
+    }
+
+    /// The item's statistics as reported by
+    /// [`crate::MetadataManager::handler_stats`].
+    pub(crate) fn stats(&self) -> HandlerStats {
+        let quantiles = self.latency_quantiles();
+        HandlerStats {
+            accesses: self.access_count(),
+            updates: self.update_count(),
+            computes: self.compute_count(),
+            subscriptions: self.subscriptions.load(Ordering::Relaxed),
+            latency_p50: quantiles.map(|q| q[0]),
+            latency_p95: quantiles.map(|q| q[1]),
+            latency_p99: quantiles.map(|q| q[2]),
         }
     }
 

@@ -80,6 +80,7 @@ mod item;
 mod key;
 mod manager;
 mod meta;
+mod metrics;
 mod monitor;
 mod partition;
 mod registry;
@@ -100,17 +101,16 @@ pub use item::{
     HookFn, ItemDef, ItemDefBuilder, Mechanism, ResolveCtx, ResolvedDep,
 };
 pub use key::{EventKey, ItemPath, MetadataKey, NodeId};
-pub use manager::{
-    EpochConfig, ManagerStats, MetadataManager, PropagationMode, ValidationPolicy, ValidatorFn,
-};
+pub use manager::{EpochConfig, MetadataManager, PropagationMode, ValidationPolicy, ValidatorFn};
 pub use meta::META_NODE;
+pub use metrics::{metrics_markdown, ManagerStats, Metric, MetricKind};
 pub use monitor::{Counter, Gauge};
 pub use partition::{PartitionedMetadataPlane, PlaneConfig};
 pub use registry::{MetadataModule, NodeRegistry, RegistryScope};
 pub use subscription::Subscription;
 pub use sync::{lock_audit, LockEvent, LockTier};
 pub use trace::{
-    RingBufferSink, RotatingFileSink, SpanContext, SpanRecord, SpanSampling, SpanStore, TraceEvent,
-    TraceRecord, TraceSink,
+    RingBufferSink, RotatingFileSink, SpanContext, SpanRecord, SpanSampling, SpanStore, TeeSink,
+    TraceEvent, TraceRecord, TraceSink,
 };
 pub use value::{MetadataValue, VersionedValue};

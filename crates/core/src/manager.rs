@@ -43,7 +43,7 @@ use streammeta_time::{ClockRef, PeriodicRegistry, PeriodicTask, TimeSpan, Timest
 use crate::fault::{FaultAction, FaultPlan};
 use crate::handler::{Handler, HandlerStats};
 use crate::item::{DepReader, DepSource, EvalCtx, ItemDef, Mechanism};
-use crate::monitor::Counter;
+use crate::metrics::{Metric, MetricSlots};
 use crate::registry::NodeRegistry;
 use crate::shards::HandlerShards;
 use crate::subscription::Subscription;
@@ -153,48 +153,6 @@ impl SpanLink {
     }
 }
 
-/// Aggregate counters of the manager, used by the scalability experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ManagerStats {
-    /// Live handlers (included metadata items).
-    pub handlers: usize,
-    /// Sum of all subscription counts.
-    pub subscriptions: usize,
-    /// Total compute-function evaluations.
-    pub computes: u64,
-    /// Total stored value changes.
-    pub updates: u64,
-    /// Total consumer accesses.
-    pub accesses: u64,
-    /// Total trigger propagation rounds.
-    pub propagations: u64,
-    /// Compute functions that panicked (contained; the item reported
-    /// `Unavailable` for that evaluation).
-    pub compute_failures: u64,
-    /// Periodic refreshes that completed a full window after their
-    /// scheduled boundary.
-    pub deadline_misses: u64,
-    /// Reads served through a cached subscription handler (no manager
-    /// lock of any kind).
-    pub fast_reads: u64,
-    /// Key-based handler lookups served by the sharded index (one shard
-    /// read lock).
-    pub shard_reads: u64,
-    /// Evaluations that overran their declared compute deadline.
-    pub deadline_overruns: u64,
-    /// Backoff retries scheduled after failed evaluations.
-    pub retries: u64,
-    /// Times the quarantine circuit breaker tripped.
-    pub quarantine_trips: u64,
-    /// Reads that were served a degraded (stale last-good) value.
-    pub stale_serves: u64,
-    /// Epoch flushes performed in epoch propagation mode.
-    pub epochs: u64,
-    /// Source updates absorbed into an already-pending epoch entry
-    /// (duplicate origins coalesced away before the sweep).
-    pub coalesced_updates: u64,
-}
-
 /// The central coordinator of dynamic metadata management.
 ///
 /// Always used through `Arc`: subscriptions and periodic tasks hold
@@ -209,37 +167,13 @@ pub struct MetadataManager {
     /// Hash-partitioned `key -> handler` mirror of `inner.handlers`,
     /// written under the bookkeeping mutex, read without it.
     shards: HandlerShards,
-    /// Access counts of handlers that have been excluded, folded in on
-    /// removal so totals survive handler death. Together with the live
-    /// handlers' counters this yields the access total; the cached-read
-    /// count is derived as `total - key-based` so the subscription fast
-    /// path pays exactly one counter increment.
-    retired_accesses: AtomicU64,
-    shard_reads: AtomicU64,
-    /// Always-on counter (not a plain atomic) so the reflexive meta node
-    /// can derive `meta.computes_rate` from it via a `WindowDelta`.
-    computes: Arc<Counter>,
-    updates: AtomicU64,
-    /// Key-based accesses only; cached-subscription reads count on their
-    /// handler alone (one atomic less on the hot path) and totals are
-    /// derived where reported.
-    accesses: AtomicU64,
-    propagations: AtomicU64,
-    compute_failures: AtomicU64,
-    deadline_misses: AtomicU64,
-    deadline_overruns: AtomicU64,
-    retries: AtomicU64,
-    quarantine_trips: AtomicU64,
-    stale_serves: AtomicU64,
+    /// Every plain counter of the metric table ([`crate::metrics`]),
+    /// one fixed slot each.
+    pub(crate) slots: MetricSlots,
     /// Gates fault injection the same way `trace_enabled` gates tracing:
     /// one relaxed load per evaluation when no plan is installed.
     fault_enabled: AtomicBool,
     fault_plan: RwLock<Option<Arc<FaultPlan>>>,
-    /// High-water BFS depth over recent propagation rounds. A monotonic
-    /// `fetch_max` per round (not a plain store): concurrent rounds must
-    /// not let a shallow round overwrite a deeper concurrent one. Reset
-    /// per observation window via [`Self::take_propagation_depth`].
-    last_propagation_depth: AtomicU64,
     /// Gates the epoch propagation mode the same way `trace_enabled`
     /// gates tracing: one relaxed load per `propagate` call when the
     /// default per-event mode is active.
@@ -256,10 +190,11 @@ pub struct MetadataManager {
     /// a running sweep. Tier: [`LockTier::FlushSerial`], rank 0 — the
     /// full declared hierarchy lives in [`crate::sync`].
     flush_serial: TieredMutex<()>,
-    epochs: AtomicU64,
-    coalesced_updates: AtomicU64,
     /// Trace bus: a single relaxed load gates every emission site, so an
-    /// uninstalled sink costs (close to) nothing on the hot paths.
+    /// uninstalled sink costs (close to) nothing on the hot paths. The
+    /// one slot: the catalog and the trace metrics find a ring or file
+    /// through [`TraceSink::ring`] / [`TraceSink::file`] of what is
+    /// installed here.
     trace_enabled: AtomicBool,
     trace_sink: RwLock<Option<Arc<dyn TraceSink>>>,
     trace_seq: AtomicU64,
@@ -272,15 +207,6 @@ pub struct MetadataManager {
     /// Violations reported by a `Warn`-policy validator, drained by
     /// [`Self::take_validation_warnings`].
     validation_warnings: Mutex<Vec<String>>,
-    /// Ring buffer backing the `sys.trace` catalog relation, installed
-    /// by [`Self::enable_catalog_trace`]. Kept separately from
-    /// `trace_sink` so the catalog can always find it (the trace sink
-    /// slot holds a type-erased `dyn TraceSink`).
-    catalog_trace: RwLock<Option<Arc<crate::trace::RingBufferSink>>>,
-    /// Rotating JSONL file sink registered for `sys.trace` reporting
-    /// (rotation/record counters); wiring it as the actual trace sink —
-    /// alone or teed with a ring buffer — is the caller's choice.
-    trace_file: RwLock<Option<Arc<crate::trace::RotatingFileSink>>>,
     /// Gates span minting the same way `trace_enabled` gates tracing:
     /// one relaxed load per source update when sampling is off.
     span_enabled: AtomicBool,
@@ -306,11 +232,6 @@ pub struct MetadataManager {
     /// multi-partition traces stay per-item monotonic because tracelint
     /// keys item state by `(partition, key)`.
     trace_part: AtomicU64,
-    /// Live cross-partition subscription links whose proxy item lives in
-    /// this manager.
-    remote_subs: AtomicU64,
-    /// Cross-partition update messages applied to local proxy items.
-    remote_updates: AtomicU64,
     /// Rows provider for the plane-level catalog relations
     /// (`sys.partitions`, `sys.remote_subscriptions`), installed on every
     /// partition by the plane; empty relations without one.
@@ -361,34 +282,18 @@ impl MetadataManager {
             registries: TieredRwLock::new(LockTier::Graph, HashMap::new()),
             inner: TieredMutex::new(LockTier::Bookkeeping, Inner::default()),
             shards: HandlerShards::new(),
-            retired_accesses: AtomicU64::new(0),
-            shard_reads: AtomicU64::new(0),
-            computes: Counter::always_on(),
-            updates: AtomicU64::new(0),
-            accesses: AtomicU64::new(0),
-            propagations: AtomicU64::new(0),
-            compute_failures: AtomicU64::new(0),
-            deadline_misses: AtomicU64::new(0),
-            deadline_overruns: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            quarantine_trips: AtomicU64::new(0),
-            stale_serves: AtomicU64::new(0),
+            slots: MetricSlots::default(),
             fault_enabled: AtomicBool::new(false),
             fault_plan: RwLock::new(None),
-            last_propagation_depth: AtomicU64::new(0),
             epoch_enabled: AtomicBool::new(false),
             epoch_queue: TieredMutex::new(LockTier::EpochQueue, EpochQueue::default()),
             flush_serial: TieredMutex::new(LockTier::FlushSerial, ()),
-            epochs: AtomicU64::new(0),
-            coalesced_updates: AtomicU64::new(0),
             trace_enabled: AtomicBool::new(false),
             trace_sink: RwLock::new(None),
             trace_seq: AtomicU64::new(0),
             profile_latency: AtomicBool::new(false),
             validator: RwLock::new(None),
             validation_warnings: Mutex::new(Vec::new()),
-            catalog_trace: RwLock::new(None),
-            trace_file: RwLock::new(None),
             span_enabled: AtomicBool::new(false),
             span_ratio: AtomicU64::new(0),
             span_samples: AtomicU64::new(0),
@@ -398,8 +303,6 @@ impl MetadataManager {
             tid_map: Mutex::new(HashMap::new()),
             tid_labels: Mutex::new(BTreeMap::new()),
             trace_part: AtomicU64::new(u64::MAX),
-            remote_subs: AtomicU64::new(0),
-            remote_updates: AtomicU64::new(0),
             plane_rows: RwLock::new(None),
             self_weak: weak.clone(),
         })
@@ -453,25 +356,27 @@ impl MetadataManager {
                 event: event(),
                 span: span.cloned(),
                 tid: self.current_tid(),
-                part: self.trace_partition(),
+                part: match self.trace_part.load(Ordering::Relaxed) {
+                    u64::MAX => None,
+                    p => Some(p),
+                },
             });
         }
     }
 
-    /// Tags (or, with `None`, untags) every trace record this manager
-    /// emits with a partition id. Set by the partitioned plane so merged
-    /// multi-partition traces keep per-item state separable.
-    pub fn set_trace_partition(&self, part: Option<u64>) {
-        self.trace_part
-            .store(part.unwrap_or(u64::MAX), Ordering::Relaxed);
+    /// The installed trace sink, if any.
+    pub(crate) fn trace_sink(&self) -> Option<Arc<dyn TraceSink>> {
+        self.trace_sink.read().clone()
     }
 
-    /// The partition id stamped onto trace records, if any.
-    pub fn trace_partition(&self) -> Option<u64> {
-        match self.trace_part.load(Ordering::Relaxed) {
-            u64::MAX => None,
-            p => Some(p),
-        }
+    /// Makes this manager partition `part` of a plane: every trace
+    /// record it emits is tagged with `part` (merged multi-partition
+    /// traces keep per-item state separable) and its span ids start in
+    /// a range disjoint from every other partition's (spans stay unique
+    /// across the merged trace). Called once, before any span is minted.
+    pub(crate) fn join_plane(&self, part: u64) {
+        self.trace_part.store(part, Ordering::Relaxed);
+        self.span_ids.store((part + 1) << 48, Ordering::Relaxed);
     }
 
     /// Records one *finished* span into the `sys.spans` ring, if
@@ -527,44 +432,6 @@ impl MetadataManager {
     /// and [`HandlerStats`] report p50/p95/p99.
     pub fn set_latency_profiling(&self, on: bool) {
         self.profile_latency.store(on, Ordering::Relaxed);
-    }
-
-    /// The always-on counter of compute evaluations (feeds the meta
-    /// node's `meta.computes_rate`).
-    pub(crate) fn computes_counter(&self) -> &Arc<Counter> {
-        &self.computes
-    }
-
-    /// Installs a bounded ring-buffer trace sink of `capacity` records
-    /// and makes it the manager's trace sink. The returned (and
-    /// internally remembered) buffer backs the `sys.trace` catalog
-    /// relation: its tail is what `catalog_rows(SystemRelation::Trace)`
-    /// materialises. Replaces any previously installed trace sink.
-    pub fn enable_catalog_trace(&self, capacity: usize) -> Arc<crate::trace::RingBufferSink> {
-        let sink = crate::trace::RingBufferSink::new(capacity);
-        *self.catalog_trace.write() = Some(sink.clone());
-        self.set_trace_sink(Some(sink.clone()));
-        sink
-    }
-
-    /// The ring buffer installed by [`Self::enable_catalog_trace`], if
-    /// any.
-    pub fn catalog_trace(&self) -> Option<Arc<crate::trace::RingBufferSink>> {
-        self.catalog_trace.read().clone()
-    }
-
-    /// Registers (or, with `None`, forgets) a rotating file sink so
-    /// `sys.trace` reports its rotation and record counters. This only
-    /// registers the sink for catalog reporting; install it as the trace
-    /// sink separately via [`Self::set_trace_sink`] — possibly behind a
-    /// tee when an in-memory ring is wanted too.
-    pub fn set_file_trace(&self, sink: Option<Arc<crate::trace::RotatingFileSink>>) {
-        *self.trace_file.write() = sink;
-    }
-
-    /// The rotating file sink registered by [`Self::set_file_trace`].
-    pub fn file_trace(&self) -> Option<Arc<crate::trace::RotatingFileSink>> {
-        self.trace_file.read().clone()
     }
 
     // ------------------------------------------------------------------
@@ -652,14 +519,6 @@ impl MetadataManager {
         self.span_ids.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Rebases the span-id mint to start above `base`. The partitioned
-    /// plane gives each partition a disjoint id range so spans stay
-    /// unique across a merged multi-partition trace. Call before any
-    /// span is minted; ids already handed out are not renumbered.
-    pub fn set_span_id_base(&self, base: u64) {
-        self.span_ids.store(base, Ordering::Relaxed);
-    }
-
     /// Samples a source update: on a hit, mints the root span of the
     /// causal cascade and emits the `source_update` anchor event that
     /// tracelint's T8 rule resolves notification roots against.
@@ -688,6 +547,13 @@ impl MetadataManager {
         handlers
     }
 
+    /// Calls `f` on every live handler (in no particular order) under
+    /// the bookkeeping lock; `f` must not call back into the manager's
+    /// bookkeeping.
+    pub(crate) fn for_each_handler(&self, mut f: impl FnMut(&Arc<Handler>)) {
+        self.inner.lock().handlers.values().for_each(&mut f);
+    }
+
     /// A weak self-reference for compute closures of the meta node.
     pub(crate) fn weak_self(&self) -> Weak<MetadataManager> {
         self.self_weak.clone()
@@ -712,54 +578,10 @@ impl MetadataManager {
         }
     }
 
-    /// Periodic refreshes that completed a full window late.
-    pub fn deadline_miss_count(&self) -> u64 {
-        self.deadline_misses.load(Ordering::Relaxed)
-    }
-
-    /// Evaluations that overran their declared compute deadline.
-    pub fn deadline_overrun_count(&self) -> u64 {
-        self.deadline_overruns.load(Ordering::Relaxed)
-    }
-
-    /// Backoff retries scheduled after failed evaluations.
-    pub fn retry_count(&self) -> u64 {
-        self.retries.load(Ordering::Relaxed)
-    }
-
-    /// Times the quarantine circuit breaker tripped (re-trips after a
-    /// failed recovery probe count again).
-    pub fn quarantine_trip_count(&self) -> u64 {
-        self.quarantine_trips.load(Ordering::Relaxed)
-    }
-
-    /// Reads that were served a degraded (stale last-good) value.
-    pub fn stale_serve_count(&self) -> u64 {
-        self.stale_serves.load(Ordering::Relaxed)
-    }
-
-    /// Live cross-partition subscription links whose proxy item lives in
-    /// this manager (0 outside a partitioned plane).
-    pub fn remote_subscription_count(&self) -> u64 {
-        self.remote_subs.load(Ordering::Relaxed)
-    }
-
-    /// Cross-partition update messages applied to local proxy items.
+    /// Cross-partition update messages applied to local proxy items
+    /// ([`Metric::RemoteUpdates`]).
     pub fn remote_update_count(&self) -> u64 {
-        self.remote_updates.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn note_remote_link(&self, delta: i64) {
-        if delta >= 0 {
-            self.remote_subs.fetch_add(delta as u64, Ordering::Relaxed);
-        } else {
-            self.remote_subs
-                .fetch_sub(delta.unsigned_abs(), Ordering::Relaxed);
-        }
-    }
-
-    pub(crate) fn note_remote_update(&self) {
-        self.remote_updates.fetch_add(1, Ordering::Relaxed);
+        self.slots.get(Metric::RemoteUpdates)
     }
 
     /// Installs (or clears) the plane-level catalog rows provider.
@@ -779,14 +601,9 @@ impl MetadataManager {
         }
     }
 
-    /// Number of currently quarantined items.
+    /// Number of currently quarantined items ([`Metric::Quarantined`]).
     pub fn quarantined_count(&self) -> usize {
-        let inner = self.inner.lock();
-        inner
-            .handlers
-            .values()
-            .filter(|h| self.is_quarantined(h))
-            .count()
+        self.metric(Metric::Quarantined).unwrap_or(0) as usize
     }
 
     /// Whether `key` is currently quarantined.
@@ -794,20 +611,15 @@ impl MetadataManager {
         self.handler(key).is_some_and(|h| self.is_quarantined(&h))
     }
 
-    /// High-water BFS depth of trigger propagation: the deepest handler
-    /// recomputed by any round since the last
-    /// [`Self::take_propagation_depth`] (0 if no round reached anything).
-    /// A monotonic max, so concurrent rounds cannot make the gauge
-    /// report a stale shallow round over a live deep one.
-    pub fn last_propagation_depth(&self) -> u64 {
-        self.last_propagation_depth.load(Ordering::Relaxed)
-    }
-
-    /// Reads and resets the propagation-depth high-water mark — the
-    /// "per observation window" part of the gauge: a poller gets the max
-    /// depth since its previous call.
+    /// Reads and resets [`Metric::PropagationDepth`], the high-water
+    /// BFS depth of trigger propagation — the "per observation window"
+    /// part of the gauge: a poller gets the deepest handler recomputed
+    /// by any round since its previous call (0 if no round reached
+    /// anything).
     pub fn take_propagation_depth(&self) -> u64 {
-        self.last_propagation_depth.swap(0, Ordering::Relaxed)
+        self.slots
+            .slot(Metric::PropagationDepth)
+            .swap(0, Ordering::Relaxed)
     }
 
     /// The manager's clock.
@@ -1210,7 +1022,8 @@ impl MetadataManager {
             return;
         };
         self.shards.remove(key);
-        self.retired_accesses
+        self.slots
+            .retired_accesses
             .fetch_add(handler.access_count(), Ordering::Relaxed);
         for dep in &handler.resolved_deps {
             if let Some(list) = inner.dependents.get_mut(&dep.source) {
@@ -1360,7 +1173,7 @@ impl MetadataManager {
     /// Resolves a handler through the sharded index — one shard read
     /// lock, never the bookkeeping mutex.
     fn handler(&self, key: &MetadataKey) -> Option<Arc<Handler>> {
-        self.shard_reads.fetch_add(1, Ordering::Relaxed);
+        self.slots.bump(Metric::ShardReads);
         self.shards.get(key)
     }
 
@@ -1368,8 +1181,8 @@ impl MetadataManager {
     /// no manager lock of any kind, only the item-level value lock (and
     /// the compute mutex for on-demand items).
     pub(crate) fn read_cached(&self, handler: &Arc<Handler>) -> VersionedValue {
-        // One relaxed increment — the manager-level cached-read count is
-        // derived in `fast_read_count` rather than maintained here.
+        // One relaxed increment — the manager-level cached-read count
+        // (`Metric::FastReads`) is derived, not maintained here.
         handler.record_access();
         self.access_handler(handler)
     }
@@ -1386,7 +1199,7 @@ impl MetadataManager {
             .handler(key)
             .ok_or_else(|| MetadataError::NotIncluded(key.clone()))?;
         handler.record_access();
-        self.accesses.fetch_add(1, Ordering::Relaxed);
+        self.slots.key_accesses.fetch_add(1, Ordering::Relaxed);
         Ok(self.access_handler(&handler))
     }
 
@@ -1401,7 +1214,7 @@ impl MetadataManager {
             .handler(key)
             .ok_or_else(|| MetadataError::NotIncluded(key.clone()))?;
         handler.record_access();
-        self.accesses.fetch_add(1, Ordering::Relaxed);
+        self.slots.key_accesses.fetch_add(1, Ordering::Relaxed);
         if self.is_quarantined(&handler) {
             return Err(MetadataError::Quarantined(key.clone()));
         }
@@ -1432,14 +1245,14 @@ impl MetadataManager {
         }
         let snapshot = handler.snapshot();
         if snapshot.degraded {
-            self.stale_serves.fetch_add(1, Ordering::Relaxed);
+            self.slots.bump(Metric::StaleServes);
         }
         snapshot
     }
 
     /// Whether `key` currently has a handler. One shard read lock.
     pub fn is_included(&self, key: &MetadataKey) -> bool {
-        self.shard_reads.fetch_add(1, Ordering::Relaxed);
+        self.slots.bump(Metric::ShardReads);
         self.shards.contains(key)
     }
 
@@ -1464,70 +1277,27 @@ impl MetadataManager {
     /// Per-item statistics, if the item is included. Served by the
     /// sharded index, without the bookkeeping mutex.
     pub fn handler_stats(&self, key: &MetadataKey) -> Option<HandlerStats> {
-        self.handler(key).map(|h| {
-            let latency = h.latency.snapshot();
-            HandlerStats {
-                accesses: h.access_count(),
-                updates: h.update_count(),
-                computes: h.compute_count(),
-                subscriptions: h.subscriptions.load(Ordering::Relaxed),
-                latency_p50: latency.percentile(0.50).map(|v| v.max(0) as u64),
-                latency_p95: latency.percentile(0.95).map(|v| v.max(0) as u64),
-                latency_p99: latency.percentile(0.99).map(|v| v.max(0) as u64),
+        self.handler(key).map(|h| h.stats())
+    }
+
+    /// The statistics of every included item with compute-latency
+    /// observations (see [`Self::set_latency_profiling`]), sorted by
+    /// key: one pass over the handlers, skipping the never-profiled.
+    pub fn profiled_handler_stats(&self) -> Vec<(MetadataKey, HandlerStats)> {
+        let mut profiled = Vec::new();
+        self.for_each_handler(|h| {
+            let stats = h.stats();
+            if stats.latency_p50.is_some() {
+                profiled.push((h.key.clone(), stats));
             }
-        })
+        });
+        profiled.sort_by(|a, b| a.0.cmp(&b.0));
+        profiled
     }
 
     /// The update mechanism of an included item.
     pub fn mechanism_of(&self, key: &MetadataKey) -> Option<Mechanism> {
         self.handler(key).map(|h| h.mechanism())
-    }
-
-    /// Aggregate statistics.
-    pub fn stats(&self) -> ManagerStats {
-        let inner = self.inner.lock();
-        let total_accesses = self.retired_accesses.load(Ordering::Relaxed)
-            + inner
-                .handlers
-                .values()
-                .map(|h| h.access_count())
-                .sum::<u64>();
-        let key_accesses = self.accesses.load(Ordering::Relaxed);
-        ManagerStats {
-            handlers: inner.handlers.len(),
-            subscriptions: inner
-                .handlers
-                .values()
-                .map(|h| h.subscriptions.load(Ordering::Relaxed))
-                .sum(),
-            computes: self.computes.value(),
-            updates: self.updates.load(Ordering::Relaxed),
-            accesses: total_accesses,
-            propagations: self.propagations.load(Ordering::Relaxed),
-            compute_failures: self.compute_failures.load(Ordering::Relaxed),
-            deadline_misses: self.deadline_misses.load(Ordering::Relaxed),
-            fast_reads: total_accesses.saturating_sub(key_accesses),
-            shard_reads: self.shard_reads.load(Ordering::Relaxed),
-            deadline_overruns: self.deadline_overruns.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            quarantine_trips: self.quarantine_trips.load(Ordering::Relaxed),
-            stale_serves: self.stale_serves.load(Ordering::Relaxed),
-            epochs: self.epochs.load(Ordering::Relaxed),
-            coalesced_updates: self.coalesced_updates.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Reads served through cached subscription handlers (no manager
-    /// lock at all). Derived — per-handler access counts minus the
-    /// key-based reads — so the fast path itself maintains no
-    /// manager-level counter.
-    pub fn fast_read_count(&self) -> u64 {
-        self.stats().fast_reads
-    }
-
-    /// Key-based handler lookups served by the sharded index.
-    pub fn shard_read_count(&self) -> u64 {
-        self.shard_reads.load(Ordering::Relaxed)
     }
 
     /// Number of partitions of the sharded handler index.
@@ -1605,7 +1375,7 @@ impl MetadataManager {
 
     /// Whether a handler's circuit breaker is currently open. Only items
     /// with a fallback policy ever pay the containment-lock check.
-    fn is_quarantined(&self, handler: &Handler) -> bool {
+    pub(crate) fn is_quarantined(&self, handler: &Handler) -> bool {
         handler.def.fallback().is_some() && handler.containment.lock().quarantined_until.is_some()
     }
 
@@ -1625,7 +1395,7 @@ impl MetadataManager {
         span: Option<&SpanContext>,
     ) -> ComputeOutcome {
         handler.record_compute();
-        self.computes.record();
+        self.slots.bump(Metric::Computes);
         let fault = if self.fault_enabled.load(Ordering::Relaxed) {
             let plan = self.fault_plan.read().clone();
             plan.and_then(|p| p.decide(&handler.key).map(|a| (p, a)))
@@ -1659,13 +1429,13 @@ impl MetadataManager {
         }));
         if let Some(started) = started {
             let ns = started.elapsed().as_nanos().min(i64::MAX as u128) as i64;
-            handler.latency.observe(ns);
+            handler.observe_latency(ns);
         }
         let overran = match (deadline, clock_start) {
             (Some(budget), Some(t0)) => {
                 let elapsed = self.clock.now().since(t0);
                 if elapsed > budget {
-                    self.deadline_overruns.fetch_add(1, Ordering::Relaxed);
+                    self.slots.bump(Metric::DeadlineOverruns);
                     self.trace_span(span, || TraceEvent::DeadlineExceeded {
                         key: handler.key.clone(),
                         budget,
@@ -1685,7 +1455,7 @@ impl MetadataManager {
                 overran,
             },
             Err(_) => {
-                self.compute_failures.fetch_add(1, Ordering::Relaxed);
+                self.slots.bump(Metric::ComputeFailures);
                 self.trace_span(span, || TraceEvent::ComputeFailed {
                     key: handler.key.clone(),
                 });
@@ -1775,7 +1545,7 @@ impl MetadataManager {
                     .register_once(until, Arc::new(task) as Arc<dyn PeriodicTask>),
             );
             drop(st);
-            self.quarantine_trips.fetch_add(1, Ordering::Relaxed);
+            self.slots.bump(Metric::QuarantineTrips);
             self.trace_span(span, || TraceEvent::QuarantineTripped {
                 key: handler.key.clone(),
                 until,
@@ -1795,7 +1565,7 @@ impl MetadataManager {
                 Arc::new(task) as Arc<dyn PeriodicTask>,
             ));
             drop(st);
-            self.retries.fetch_add(1, Ordering::Relaxed);
+            self.slots.bump(Metric::Retries);
             self.trace_span(span, || TraceEvent::RetryScheduled {
                 key: handler.key.clone(),
                 attempt,
@@ -1836,17 +1606,28 @@ impl MetadataManager {
         delivered.is_some()
     }
 
-    /// A scheduled backoff retry for `key`. Skipped if the item was
-    /// excluded or quarantined in the meantime; a successful retry
-    /// propagates like any other update. The retry evaluation inherits
-    /// the span of the failing compute as `parent` (carried explicitly
-    /// through the [`ContainmentTask`] handoff), so a retry chain reads
-    /// as one nested lineage in `sys.spans`.
-    fn retry_refresh(&self, key: &MetadataKey, now: Timestamp, parent: Option<&SpanContext>) {
+    /// A scheduled containment evaluation of `key`: a backoff retry, or
+    /// (`probe`) the recovery probe at the end of a quarantine cool-down.
+    /// A retry is skipped if the item was quarantined in the meantime; a
+    /// probe is the one evaluation allowed while the circuit is still
+    /// open — success clears the quarantine (inside
+    /// [`Self::refresh_handler`], which also traces the recovery),
+    /// failure re-trips it for another cool-down. Either way a changed
+    /// value propagates like any other update, and the evaluation
+    /// inherits the span of the failing compute as `parent` (carried
+    /// explicitly through the [`ContainmentTask`] handoff), so a failure
+    /// chain reads as one nested lineage in `sys.spans`.
+    fn containment_refresh(
+        &self,
+        key: &MetadataKey,
+        now: Timestamp,
+        parent: Option<&SpanContext>,
+        probe: bool,
+    ) {
         let Some(handler) = self.handler(key) else {
             return; // excluded between scheduling and firing
         };
-        if self.is_quarantined(&handler) {
+        if !probe && self.is_quarantined(&handler) {
             return;
         }
         let ctx = parent.map(|p| p.child(self.next_span_id(), now));
@@ -1855,38 +1636,11 @@ impl MetadataManager {
             self.refresh_handler(&handler, None, now, ctx.as_ref())
         };
         if let Some(ctx) = &ctx {
-            self.record_span(ctx, Some(key), "retry", self.clock.now());
+            let kind = if probe { "probe" } else { "retry" };
+            self.record_span(ctx, Some(key), kind, self.clock.now());
         }
         if changed {
-            self.updates.fetch_add(1, Ordering::Relaxed);
-            self.propagate_rooted(
-                DepSource::Item(key.clone()),
-                now,
-                ctx.as_ref().map(SpanLink::of),
-            );
-        }
-    }
-
-    /// The recovery probe at the end of a quarantine cool-down: one
-    /// evaluation while the circuit is still open. Success clears the
-    /// quarantine (inside [`Self::refresh_handler`], which also traces
-    /// the recovery); failure re-trips it for another cool-down. Like a
-    /// retry, the probe inherits the span of the evaluation that tripped
-    /// the breaker.
-    fn quarantine_probe(&self, key: &MetadataKey, now: Timestamp, parent: Option<&SpanContext>) {
-        let Some(handler) = self.handler(key) else {
-            return;
-        };
-        let ctx = parent.map(|p| p.child(self.next_span_id(), now));
-        let changed = {
-            let _guard = handler.compute_lock.lock();
-            self.refresh_handler(&handler, None, now, ctx.as_ref())
-        };
-        if let Some(ctx) = &ctx {
-            self.record_span(ctx, Some(key), "probe", self.clock.now());
-        }
-        if changed {
-            self.updates.fetch_add(1, Ordering::Relaxed);
+            self.slots.bump(Metric::Updates);
             self.propagate_rooted(
                 DepSource::Item(key.clone()),
                 now,
@@ -1914,7 +1668,7 @@ impl MetadataManager {
             let _guard = handler.compute_lock.lock();
             let changed = self.refresh_handler(&handler, Some(window), boundary, root.as_ref());
             if changed {
-                self.updates.fetch_add(1, Ordering::Relaxed);
+                self.slots.bump(Metric::Updates);
             }
             changed
         };
@@ -1925,7 +1679,7 @@ impl MetadataManager {
         let fired_at = self.clock.now();
         let missed = fired_at.since(boundary) >= window;
         if missed {
-            self.deadline_misses.fetch_add(1, Ordering::Relaxed);
+            self.slots.bump(Metric::DeadlineMisses);
         }
         if let Some(root) = &root {
             self.record_span(root, Some(key), "periodic_fired", fired_at);
@@ -2015,14 +1769,10 @@ impl MetadataManager {
         }
     }
 
-    /// Epoch flushes performed so far (0 in per-event mode).
-    pub fn epoch_count(&self) -> u64 {
-        self.epochs.load(Ordering::Relaxed)
-    }
-
-    /// Source updates absorbed into an already-pending epoch entry.
+    /// Source updates absorbed into an already-pending epoch entry
+    /// ([`Metric::CoalescedUpdates`]).
     pub fn coalesced_update_count(&self) -> u64 {
-        self.coalesced_updates.load(Ordering::Relaxed)
+        self.slots.get(Metric::CoalescedUpdates)
     }
 
     /// Distinct source updates currently queued for the next epoch.
@@ -2065,7 +1815,7 @@ impl MetadataManager {
                     q.first_enqueued = Some(now);
                 }
             } else {
-                self.coalesced_updates.fetch_add(1, Ordering::Relaxed);
+                self.slots.bump(Metric::CoalescedUpdates);
             }
             if let Some(link) = link {
                 match q.pending_roots.get_mut(&origin) {
@@ -2109,7 +1859,7 @@ impl MetadataManager {
                 std::mem::take(&mut q.pending_roots),
             )
         };
-        let epoch = self.epochs.fetch_add(1, Ordering::Relaxed) + 1;
+        let epoch = self.slots.bump(Metric::Epochs) + 1;
         let swept = origins.len();
         // When any contributing update was sampled, the flush itself gets
         // a parentless span rooted in the *union* of every pending
@@ -2199,7 +1949,7 @@ impl MetadataManager {
         epoch: Option<u64>,
         seeds: Option<HashMap<DepSource, SpanLink>>,
     ) -> SweepStats {
-        let round = self.propagations.fetch_add(1, Ordering::Relaxed) + 1;
+        let round = self.slots.bump(Metric::Propagations) + 1;
         // Phase 1: snapshot the affected subgraph under one bookkeeping
         // lock, remembering each item's BFS distance from the nearest
         // origin for the trace.
@@ -2305,7 +2055,7 @@ impl MetadataManager {
                 handler.note_epoch(epoch);
             }
             if stored {
-                self.updates.fetch_add(1, Ordering::Relaxed);
+                self.slots.bump(Metric::Updates);
                 changed.insert(DepSource::Item(handler.key.clone()));
                 if let Some(ctx) = &ctx {
                     lineage.insert(DepSource::Item(handler.key.clone()), SpanLink::of(ctx));
@@ -2329,7 +2079,8 @@ impl MetadataManager {
         }
         // Monotonic max, not a store: a concurrent shallow round must not
         // overwrite a deeper round within the same observation window.
-        self.last_propagation_depth
+        self.slots
+            .slot(Metric::PropagationDepth)
             .fetch_max(stats.max_depth as u64, Ordering::Relaxed);
         stats
     }
@@ -2423,11 +2174,7 @@ struct ContainmentTask {
 impl PeriodicTask for ContainmentTask {
     fn run(&self, fired_at: Timestamp) {
         if let Some(mgr) = self.manager.upgrade() {
-            if self.probe {
-                mgr.quarantine_probe(&self.key, fired_at, self.span.as_ref());
-            } else {
-                mgr.retry_refresh(&self.key, fired_at, self.span.as_ref());
-            }
+            mgr.containment_refresh(&self.key, fired_at, self.span.as_ref(), self.probe);
         }
     }
 }

@@ -4,21 +4,21 @@
 //! The paper motivates runtime metadata with "analysis gives insight into
 //! system behavior" — and the metadata framework itself is a system worth
 //! observing. [`MetadataManager::install_meta_node`] attaches a synthetic
-//! node ([`META_NODE`]) whose items describe the manager: handler counts,
-//! compute/update/access totals, the compute rate over a window, trigger
-//! propagation depth, deadline misses, contained compute failures, and the
-//! failure-containment state (retries, quarantined items, stale serves).
+//! node ([`META_NODE`]) with one item per entry of the metric table
+//! ([`crate::metrics`], listed in `docs/METRICS.md`) plus the compute rate
+//! over a window.
 //! Consumers — a profiler's `Recorder`, a load shedder, an optimizer —
 //! subscribe to them through the normal pub-sub API, with the usual
 //! tailored-provision guarantee: nothing is maintained until subscribed.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use streammeta_time::TimeSpan;
 
-use crate::estimators::WindowDelta;
 use crate::item::ItemDef;
 use crate::manager::MetadataManager;
+use crate::metrics::Metric;
 use crate::registry::NodeRegistry;
 use crate::{MetadataValue, NodeId};
 
@@ -29,155 +29,44 @@ pub const META_NODE: NodeId = NodeId(u32::MAX);
 impl MetadataManager {
     /// Attaches the reflexive meta node and returns its registry.
     ///
-    /// All items are on-demand snapshots of manager counters except
-    /// `meta.computes_rate`, a periodic rate (computes per time unit) over
-    /// `rate_window`. Installation defines items only — no handler exists
-    /// and nothing is computed until something subscribes.
+    /// One on-demand item per entry of the metric table
+    /// ([`Metric::meta_key`]; `Unavailable` while the component a metric
+    /// reports on is not installed), plus `meta.computes_rate`, a
+    /// periodic rate (computes per time unit) over `rate_window`.
+    /// Installation defines items only — no handler exists and nothing
+    /// is computed until something subscribes.
     pub fn install_meta_node(self: &Arc<Self>, rate_window: TimeSpan) -> Arc<NodeRegistry> {
         let reg = NodeRegistry::new(META_NODE);
-        let stat = |name: &str, doc: &str, read: fn(&MetadataManager) -> MetadataValue| {
+        let read = |m: Metric| {
             let weak = self.weak_self();
-            ItemDef::on_demand(name)
-                .doc(doc)
-                .compute(move |_ctx| match weak.upgrade() {
-                    Some(mgr) => read(&mgr),
-                    None => MetadataValue::Unavailable,
-                })
-                .build()
+            move || weak.upgrade().and_then(|mgr| mgr.metric(m))
         };
-        reg.define(stat("meta.handlers", "live metadata handlers", |m| {
-            MetadataValue::U64(m.handler_count() as u64)
-        }));
-        reg.define(stat(
-            "meta.subscriptions",
-            "sum of all subscription counts",
-            |m| MetadataValue::U64(m.stats().subscriptions as u64),
-        ));
-        reg.define(stat(
-            "meta.computes",
-            "total compute-function evaluations",
-            |m| MetadataValue::U64(m.stats().computes),
-        ));
-        reg.define(stat("meta.updates", "total stored value changes", |m| {
-            MetadataValue::U64(m.stats().updates)
-        }));
-        reg.define(stat("meta.accesses", "total consumer accesses", |m| {
-            MetadataValue::U64(m.stats().accesses)
-        }));
-        reg.define(stat(
-            "meta.propagations",
-            "total trigger-propagation rounds",
-            |m| MetadataValue::U64(m.stats().propagations),
-        ));
-        reg.define(stat(
-            "meta.propagation_depth",
-            "high-water BFS depth of recent propagation rounds",
-            |m| MetadataValue::U64(m.last_propagation_depth()),
-        ));
-        reg.define(stat(
-            "meta.epochs",
-            "epoch flushes performed in epoch propagation mode",
-            |m| MetadataValue::U64(m.epoch_count()),
-        ));
-        reg.define(stat(
-            "meta.coalesced_updates",
-            "source updates coalesced into an already-pending epoch",
-            |m| MetadataValue::U64(m.coalesced_update_count()),
-        ));
-        reg.define(stat(
-            "meta.deadline_misses",
-            "periodic refreshes that ran a full window late",
-            |m| MetadataValue::U64(m.deadline_miss_count()),
-        ));
-        reg.define(stat(
-            "meta.compute_failures",
-            "contained compute-function panics",
-            |m| MetadataValue::U64(m.stats().compute_failures),
-        ));
-        reg.define(stat(
-            "meta.deadline_overruns",
-            "evaluations that overran their declared compute deadline",
-            |m| MetadataValue::U64(m.deadline_overrun_count()),
-        ));
-        reg.define(stat(
-            "meta.retries",
-            "backoff retries scheduled after failed evaluations",
-            |m| MetadataValue::U64(m.retry_count()),
-        ));
-        reg.define(stat(
-            "meta.quarantined",
-            "currently quarantined metadata items",
-            |m| MetadataValue::U64(m.quarantined_count() as u64),
-        ));
-        reg.define(stat(
-            "meta.quarantine_trips",
-            "times the quarantine circuit breaker tripped",
-            |m| MetadataValue::U64(m.quarantine_trip_count()),
-        ));
-        reg.define(stat(
-            "meta.stale_serves",
-            "reads served a degraded (stale last-good) value",
-            |m| MetadataValue::U64(m.stale_serve_count()),
-        ));
-        // Eviction accounting is split by sink kind: `trace_dropped` is
-        // ring-buffer evictions only (records lost), `trace_rotated` is
-        // file-sink rotations (records retired to the rotated file, not
-        // lost). Conflating them made a healthy rotating file look like
-        // data loss.
-        reg.define(stat(
-            "meta.trace_dropped",
-            "records evicted from the catalog trace ring buffer",
-            |m| match m.catalog_trace() {
-                Some(sink) => MetadataValue::U64(sink.dropped()),
-                None => MetadataValue::Unavailable,
-            },
-        ));
-        reg.define(stat(
-            "meta.trace_rotated",
-            "size-limit rotations of the registered trace file sink",
-            |m| match m.file_trace() {
-                Some(sink) => MetadataValue::U64(sink.rotations()),
-                None => MetadataValue::Unavailable,
-            },
-        ));
-        reg.define(stat(
-            "meta.spans_dropped",
-            "finished spans evicted from the sys.spans ring",
-            |m| match m.catalog_spans() {
-                Some(store) => MetadataValue::U64(store.dropped()),
-                None => MetadataValue::Unavailable,
-            },
-        ));
-        reg.define(stat(
-            "meta.remote_subscriptions",
-            "live cross-partition proxy links homed on this partition",
-            |m| MetadataValue::U64(m.remote_subscription_count()),
-        ));
-        reg.define(stat(
-            "meta.remote_updates",
-            "cross-partition update messages applied to local proxies",
-            |m| MetadataValue::U64(m.remote_update_count()),
-        ));
-        reg.define(stat(
-            "meta.fast_reads",
-            "reads served through cached subscription handlers (no manager lock)",
-            |m| MetadataValue::U64(m.fast_read_count()),
-        ));
-        reg.define(stat(
-            "meta.shard_reads",
-            "key-based handler lookups served by the sharded index",
-            |m| MetadataValue::U64(m.shard_read_count()),
-        ));
-        let delta = WindowDelta::new(self.computes_counter().clone());
+        for &m in Metric::ALL {
+            let value = read(m);
+            reg.define(
+                ItemDef::on_demand(m.meta_key().item)
+                    .doc(m.help())
+                    .compute(move |_ctx| {
+                        value().map_or(MetadataValue::Unavailable, MetadataValue::U64)
+                    })
+                    .build(),
+            );
+        }
+        // Computes since the previous window boundary, over the window.
+        // Only the manager evaluates the item, so the counter is readable.
+        let computes = read(Metric::Computes);
+        let last = AtomicU64::new(computes().unwrap_or(0));
         reg.define(
             ItemDef::periodic("meta.computes_rate", rate_window)
                 .doc("compute evaluations per time unit, per window")
-                .compute(
-                    move |ctx| match delta.rate_over(ctx.window().unwrap_or(TimeSpan::ZERO)) {
-                        Some(r) => MetadataValue::F64(r),
-                        None => MetadataValue::Unavailable,
-                    },
-                )
+                .compute(move |ctx| {
+                    let now = computes().unwrap_or(0);
+                    let delta = now.saturating_sub(last.swap(now, Ordering::Relaxed));
+                    match ctx.window() {
+                        Some(w) if !w.is_zero() => MetadataValue::F64(delta as f64 / w.as_f64()),
+                        _ => MetadataValue::Unavailable,
+                    }
+                })
                 .build(),
         );
         self.attach_node(reg.clone());
@@ -188,7 +77,7 @@ impl MetadataManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ItemDef, MetadataKey};
+    use crate::{ItemDef, MetadataKey, RingBufferSink, RotatingFileSink, TeeSink};
     use streammeta_time::{Clock, TimeSpan, VirtualClock};
 
     fn setup() -> (Arc<VirtualClock>, Arc<MetadataManager>) {
@@ -255,15 +144,17 @@ mod tests {
         // Neither sink installed yet.
         assert!(!dropped.get().is_available());
         assert!(!rotated.get().is_available());
-        // A 2-record ring: the third record evicts one, rotations stay 0.
-        mgr.enable_catalog_trace(2);
+        // A 2-record ring installed as the plain trace sink: the third
+        // record evicts one, and no file means no rotation count.
+        mgr.set_trace_sink(Some(RingBufferSink::new(2)));
         let x = mgr.subscribe(MetadataKey::new(NodeId(0), "x")).unwrap();
         x.get();
         drop(x);
         assert!(dropped.get().as_u64().unwrap() > 0);
         assert!(!rotated.get().is_available());
-        // A roomy file sink: rotations stay 0, and ring drops are not
-        // double-counted into it.
+        // A roomy file sink teed with a fresh ring: rotations stay 0, the
+        // ring is found inside the tee, and ring drops are not
+        // double-counted into the rotations.
         let dir = std::env::temp_dir().join(format!(
             "streammeta-meta-rot-{}-{}",
             std::process::id(),
@@ -273,8 +164,24 @@ mod tests {
                 .as_nanos()
         ));
         std::fs::create_dir_all(&dir).unwrap();
-        let file = crate::trace::RotatingFileSink::create(dir.join("t.jsonl"), 1 << 20).unwrap();
-        mgr.set_file_trace(Some(file));
+        let file = RotatingFileSink::create(dir.join("t.jsonl"), 1 << 20).unwrap();
+        mgr.set_trace_sink(Some(TeeSink::new(vec![
+            RingBufferSink::new(2),
+            file.clone(),
+        ])));
+        assert_eq!(dropped.get().as_u64(), Some(0));
+        assert_eq!(rotated.get().as_u64(), Some(0));
+        let x = mgr.subscribe(MetadataKey::new(NodeId(0), "x")).unwrap();
+        drop(x);
+        assert!(dropped.get().as_u64().unwrap() > 0);
+        assert_eq!(rotated.get().as_u64(), Some(0));
+        assert!(
+            file.records_written() > 2,
+            "the file kept what the ring lost"
+        );
+        // The file alone: no ring, so no drop count.
+        mgr.set_trace_sink(Some(file));
+        assert!(!dropped.get().is_available());
         assert_eq!(rotated.get().as_u64(), Some(0));
         let _ = std::fs::remove_dir_all(&dir);
     }

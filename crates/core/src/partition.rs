@@ -41,6 +41,7 @@ use crate::catalog::SystemRelation;
 use crate::item::{DepTarget, FallbackPolicy, ItemDef};
 use crate::key::{EventKey, ItemPath, MetadataKey, NodeId};
 use crate::manager::MetadataManager;
+use crate::metrics::Metric;
 use crate::registry::NodeRegistry;
 use crate::subscription::Subscription;
 use crate::trace::SpanContext;
@@ -251,8 +252,7 @@ impl PartitionedMetadataPlane {
             // Disjoint span-id ranges and a partition tag per manager, so
             // merged multi-partition traces keep globally unique spans
             // and per-(partition, key) monotone versions.
-            m.set_span_id_base(((i as u64) + 1) << 48);
-            m.set_trace_partition(Some(i as u64));
+            m.join_plane(i as u64);
             managers.push(m);
             link_up.push(Arc::new(AtomicBool::new(true)));
             let (tx, rx) = channel();
@@ -434,7 +434,10 @@ impl PartitionedMetadataPlane {
             }));
         let sub = sub.with_observer(id);
         cell.store(sub.versioned());
-        self.partitions[home].note_remote_link(1);
+        let slots = &self.partitions[home].slots;
+        slots
+            .slot(Metric::RemoteSubscriptions)
+            .fetch_add(1, Ordering::Relaxed);
         let mut links = self.links.lock();
         links.insert(
             (home, key),
@@ -454,7 +457,10 @@ impl PartitionedMetadataPlane {
     fn release_link(&self, home: usize, key: &MetadataKey) {
         let removed = self.links.lock().remove(&(home, key.clone()));
         if let Some(state) = removed {
-            self.partitions[home].note_remote_link(-1);
+            let slots = &self.partitions[home].slots;
+            slots
+                .slot(Metric::RemoteSubscriptions)
+                .fetch_sub(1, Ordering::Relaxed);
             drop(state);
         }
     }
@@ -536,7 +542,7 @@ impl PartitionedMetadataPlane {
         };
         cell.store(msg.value);
         let mgr = &self.partitions[home];
-        mgr.note_remote_update();
+        mgr.slots.bump(Metric::RemoteUpdates);
         mgr.fire_event_linked(proxy_event(&msg.key), msg.span.as_ref());
         true
     }

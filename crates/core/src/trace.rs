@@ -355,10 +355,8 @@ pub struct TraceRecord {
     /// Chrome-trace exporter's flame track.
     pub tid: Option<u64>,
     /// Partition id of the emitting manager, when it is part of a
-    /// [`crate::PartitionedMetadataPlane`] (see
-    /// [`crate::MetadataManager::set_trace_partition`]). Merged
-    /// multi-partition traces key per-item lint state by
-    /// `(part, key)`.
+    /// [`crate::PartitionedMetadataPlane`]. Merged multi-partition
+    /// traces key per-item lint state by `(part, key)`.
     pub part: Option<u64>,
 }
 
@@ -546,6 +544,47 @@ fn push_escaped(out: &mut String, s: &str) {
 pub trait TraceSink: Send + Sync {
     /// Accepts one record.
     fn record(&self, record: TraceRecord);
+
+    /// The in-memory ring this sink is or contains, if any — how the
+    /// `sys.trace` relation and the trace-drop metric find their records
+    /// through whatever sink is installed.
+    fn ring(&self) -> Option<&RingBufferSink> {
+        None
+    }
+
+    /// The rotating file this sink is or contains, if any — how
+    /// `sys.trace`'s `trace_file` row and the rotation metric find it.
+    fn file(&self) -> Option<&RotatingFileSink> {
+        None
+    }
+}
+
+/// Fans every record out to several sinks, in order — an in-memory ring
+/// for in-process queries next to a rotating file for offline linting,
+/// say. The typed lookups answer with the first member that has one.
+pub struct TeeSink(Vec<Arc<dyn TraceSink>>);
+
+impl TeeSink {
+    /// A sink forwarding to each of `sinks`.
+    pub fn new(sinks: Vec<Arc<dyn TraceSink>>) -> Arc<Self> {
+        Arc::new(TeeSink(sinks))
+    }
+}
+
+impl TraceSink for TeeSink {
+    fn record(&self, record: TraceRecord) {
+        for sink in &self.0 {
+            sink.record(record.clone());
+        }
+    }
+
+    fn ring(&self) -> Option<&RingBufferSink> {
+        self.0.iter().find_map(|sink| sink.ring())
+    }
+
+    fn file(&self) -> Option<&RotatingFileSink> {
+        self.0.iter().find_map(|sink| sink.file())
+    }
 }
 
 /// A bounded in-memory trace sink: keeps the most recent `capacity`
@@ -623,6 +662,10 @@ impl TraceSink for RingBufferSink {
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
         buf.push_back(record);
+    }
+
+    fn ring(&self) -> Option<&RingBufferSink> {
+        Some(self)
     }
 }
 
@@ -730,6 +773,10 @@ impl TraceSink for RotatingFileSink {
             state.written += line.len() as u64 + 1;
             self.records.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    fn file(&self) -> Option<&RotatingFileSink> {
+        Some(self)
     }
 }
 

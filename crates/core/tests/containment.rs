@@ -100,10 +100,10 @@ fn retries_back_off_exponentially_and_stop_at_the_bound() {
     clock.advance(TimeSpan(6));
     mgr.periodic().advance_to(clock.now());
     assert_eq!(evals.load(Ordering::SeqCst), 3, "second retry at +3+6");
-    assert_eq!(mgr.retry_count(), 2);
+    assert_eq!(mgr.stats().retries, 2);
     // Third failure reached quarantine_after=3: the breaker tripped, so
     // the t=10 boundary refresh is skipped entirely.
-    assert_eq!(mgr.quarantine_trip_count(), 1);
+    assert_eq!(mgr.stats().quarantine_trips, 1);
     clock.advance(TimeSpan(1));
     mgr.periodic().advance_to(clock.now());
     assert_eq!(evals.load(Ordering::SeqCst), 3, "no evaluation while open");
@@ -131,7 +131,7 @@ fn quarantine_trips_blocks_computes_and_recovers_after_cool_down() {
     // Drive through the retry episode into quarantine (see above).
     clock.advance(TimeSpan(9));
     mgr.periodic().advance_to(clock.now());
-    assert_eq!(mgr.quarantine_trip_count(), 1);
+    assert_eq!(mgr.stats().quarantine_trips, 1);
     assert!(mgr.is_key_quarantined(&key("flaky")));
     assert_eq!(
         mgr.read_fresh(&key("flaky")),
@@ -165,14 +165,14 @@ fn failed_probe_re_trips_the_breaker() {
     let _sub = mgr.subscribe(key("flaky")).unwrap();
     clock.advance(TimeSpan(9));
     mgr.periodic().advance_to(clock.now());
-    assert_eq!(mgr.quarantine_trip_count(), 1);
+    assert_eq!(mgr.stats().quarantine_trips, 1);
     let probes_before = evals.load(Ordering::SeqCst);
     // Still broken at the end of the cool-down: the probe fails once and
     // the breaker re-trips for another cool-down.
     clock.advance(TimeSpan(101));
     mgr.periodic().advance_to(clock.now());
     assert_eq!(evals.load(Ordering::SeqCst), probes_before + 1);
-    assert_eq!(mgr.quarantine_trip_count(), 2);
+    assert_eq!(mgr.stats().quarantine_trips, 2);
     assert!(mgr.is_key_quarantined(&key("flaky")));
 }
 
@@ -203,7 +203,7 @@ fn deadline_without_policy_is_observation_only() {
     // advances the very clock deadlines are measured against), but with
     // no fallback policy the late value is still stored.
     assert_eq!(sub.get(), MetadataValue::U64(9));
-    assert_eq!(mgr.deadline_overrun_count(), 1);
+    assert_eq!(mgr.stats().deadline_overruns, 1);
     mgr.set_fault_plan(None);
     assert!(!sub.versioned().degraded);
     assert_eq!(mgr.stats().deadline_overruns, 1);
@@ -242,7 +242,7 @@ fn deadline_overrun_with_policy_discards_the_late_value() {
     let v = sub.versioned();
     assert_eq!(v.value, MetadataValue::U64(1), "late result discarded");
     assert!(v.degraded);
-    assert!(mgr.stale_serve_count() > 0);
+    assert!(mgr.stats().stale_serves > 0);
     // Healthy again once the faults stop: next access recomputes.
     mgr.set_fault_plan(None);
     let v = sub.versioned();
@@ -287,8 +287,8 @@ fn policy_less_items_keep_pre_containment_semantics() {
     assert_eq!(sub.get(), MetadataValue::Unavailable);
     assert_eq!(mgr.stats().compute_failures, 1);
     assert!(!sub.versioned().degraded);
-    assert_eq!(mgr.retry_count(), 0);
-    assert_eq!(mgr.quarantine_trip_count(), 0);
+    assert_eq!(mgr.stats().retries, 0);
+    assert_eq!(mgr.stats().quarantine_trips, 0);
 }
 
 #[test]

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use streammeta_core::{
     EpochConfig, EventKey, FallbackPolicy, ItemDef, MetadataKey, MetadataManager, MetadataValue,
-    NodeId, NodeRegistry, PropagationMode, TraceEvent,
+    NodeId, NodeRegistry, PropagationMode, RingBufferSink, TraceEvent,
 };
 use streammeta_time::{Clock, TimeSpan, VirtualClock};
 
@@ -85,7 +85,7 @@ fn coalescing_recomputes_each_dependent_once_per_epoch() {
         notified_before + 1,
         "one observer notification per item per epoch"
     );
-    assert_eq!(mgr.epoch_count(), 1);
+    assert_eq!(mgr.stats().epochs, 1);
     assert_eq!(mgr.pending_update_count(), 0);
     for sub in &subs {
         assert_eq!(sub.get().as_u64(), Some(5), "flush sees the latest state");
@@ -101,7 +101,8 @@ fn cross_epoch_ordering_is_preserved_for_observers() {
     let node = NodeId(1);
     let state = Arc::new(AtomicU64::new(0));
     mgr.attach_node(fanout_registry(node, 2, &state));
-    let trace = mgr.enable_catalog_trace(4096);
+    let trace = RingBufferSink::new(4096);
+    mgr.set_trace_sink(Some(trace.clone()));
     let seen: Arc<Mutex<Vec<(u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
     let _observer = {
         let seen = seen.clone();
@@ -279,7 +280,7 @@ fn full_batch_flushes_synchronously() {
     // The third distinct origin fills the batch: the epoch flushes here,
     // and the three origins collapse into one recompute of the sink.
     mgr.fire_event(EventKey::new(node, "e2"));
-    assert_eq!(mgr.epoch_count(), 1);
+    assert_eq!(mgr.stats().epochs, 1);
     assert_eq!(mgr.pending_update_count(), 0);
     assert_eq!(
         calls.load(Ordering::SeqCst),
@@ -325,5 +326,5 @@ fn leaving_epoch_mode_drains_the_partial_epoch() {
     state.store(10, Ordering::SeqCst);
     mgr.fire_event(EventKey::new(node, "tick"));
     assert_eq!(sub.get().as_u64(), Some(10));
-    assert_eq!(mgr.epoch_count(), 1, "per-event sweeps are not epochs");
+    assert_eq!(mgr.stats().epochs, 1, "per-event sweeps are not epochs");
 }

@@ -8,8 +8,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use streammeta_core::{
-    EventKey, FaultAction, FaultPlan, FaultSchedule, ItemDef, MetadataKey, MetadataValue, NodeId,
-    NodeRegistry, PartitionedMetadataPlane, SystemRelation,
+    EventKey, FaultAction, FaultPlan, FaultSchedule, ItemDef, MetadataKey, MetadataValue, Metric,
+    NodeId, NodeRegistry, PartitionedMetadataPlane, SystemRelation,
 };
 use streammeta_time::{Clock, TimeSpan, VirtualClock};
 
@@ -80,7 +80,10 @@ fn remote_dependency_resolves_through_the_proxy() {
     assert_eq!(plane.remote_link_count(), 1);
     let home = plane.owner_of(dep);
     let owner = plane.owner_of(src);
-    assert_eq!(plane.partition(home).remote_subscription_count(), 1);
+    assert_eq!(
+        plane.partition(home).metric(Metric::RemoteSubscriptions),
+        Some(1)
+    );
     assert!(
         plane.partition(owner).handler_count() >= 1,
         "the real source item is included on its owner"
@@ -106,7 +109,10 @@ fn remote_dependency_resolves_through_the_proxy() {
     // owner-side inclusion withdrawn.
     drop(sub);
     assert_eq!(plane.remote_link_count(), 0);
-    assert_eq!(plane.partition(home).remote_subscription_count(), 0);
+    assert_eq!(
+        plane.partition(home).metric(Metric::RemoteSubscriptions),
+        Some(0)
+    );
     assert_eq!(plane.partition(home).handler_count(), 0);
     assert_eq!(plane.partition(owner).handler_count(), 0);
 }
@@ -192,7 +198,7 @@ fn flaky_link_reads_stay_fresh_or_degraded_under_fault_plan() {
         }
     }
     assert!(
-        plane.partition(home).stale_serve_count() > 0,
+        plane.partition(home).stats().stale_serves > 0,
         "some reads were served degraded"
     );
     drop(sub);
@@ -268,7 +274,7 @@ fn periodic_proxy_probes_recover_quarantined_links() {
         plane.partitions()[home].fire_event(EventKey::new(src, "rate.__remote".to_string()));
     }
     assert!(
-        plane.partition(home).quarantine_trip_count() >= 1,
+        plane.partition(home).stats().quarantine_trips >= 1,
         "repeated link failures must trip the proxy breaker"
     );
     let v = plane.partition(home).read_versioned(&proxy_key).unwrap();

@@ -6,8 +6,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use streammeta_core::{
-    ItemDef, MetadataKey, MetadataManager, MetadataValue, NodeId, NodeRegistry, RingBufferSink,
-    TraceEvent,
+    ItemDef, MetadataKey, MetadataManager, MetadataValue, Metric, NodeId, NodeRegistry,
+    RingBufferSink, TraceEvent,
 };
 use streammeta_time::{Clock, TimeSpan, VirtualClock};
 
@@ -118,7 +118,7 @@ fn propagation_steps_carry_round_and_depth() {
     assert!(round >= 1);
     assert_eq!(steps[0], (round, key("b"), 1, true));
     assert_eq!(steps[1], (round, key("a"), 2, true));
-    assert_eq!(mgr.last_propagation_depth(), 2);
+    assert_eq!(mgr.metric(Metric::PropagationDepth), Some(2));
 }
 
 #[test]

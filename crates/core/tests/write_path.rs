@@ -1,6 +1,6 @@
 //! Regression tests for the write-path correctness sweep: the
 //! phase-1/phase-2 liveness race in trigger propagation, the
-//! cross-round `last_propagation_depth` interleaving, and the
+//! cross-round propagation-depth interleaving, and the
 //! timestamp skew of deep-chain recomputes.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use streammeta_core::{
-    EventKey, ItemDef, MetadataKey, MetadataManager, MetadataValue, NodeId, NodeRegistry,
+    EventKey, ItemDef, MetadataKey, MetadataManager, MetadataValue, Metric, NodeId, NodeRegistry,
     Subscription,
 };
 use streammeta_time::{Clock, TimeSpan, VirtualClock};
@@ -85,7 +85,7 @@ fn propagation_skips_handlers_excluded_after_the_snapshot() {
     );
 }
 
-/// `last_propagation_depth` is a high-water mark per observation window:
+/// `Metric::PropagationDepth` is a high-water mark per observation window:
 /// a later (or concurrent) shallow round must not overwrite the deeper
 /// one. Previously each round plain-stored its own max depth, so the
 /// gauge could report a stale shallow round over a live deep one.
@@ -132,19 +132,19 @@ fn propagation_depth_gauge_is_monotonic_across_rounds() {
     // Deterministic interleaving: a deep round followed by a shallow
     // one. Before the fix, the shallow round's store left the gauge at 1.
     mgr.fire_event(EventKey::new(node, "deep"));
-    assert_eq!(mgr.last_propagation_depth(), 3);
+    assert_eq!(mgr.metric(Metric::PropagationDepth), Some(3));
     mgr.fire_event(EventKey::new(node, "shallow"));
     assert_eq!(
-        mgr.last_propagation_depth(),
-        3,
+        mgr.metric(Metric::PropagationDepth),
+        Some(3),
         "a shallow round must not overwrite the deeper high-water mark"
     );
 
     // Taking the gauge resets the observation window.
     assert_eq!(mgr.take_propagation_depth(), 3);
-    assert_eq!(mgr.last_propagation_depth(), 0);
+    assert_eq!(mgr.metric(Metric::PropagationDepth), Some(0));
     mgr.fire_event(EventKey::new(node, "shallow"));
-    assert_eq!(mgr.last_propagation_depth(), 1);
+    assert_eq!(mgr.metric(Metric::PropagationDepth), Some(1));
 
     // Two racing rounds: whatever the interleaving, the gauge ends at
     // the max of both rounds' depths.
@@ -164,8 +164,8 @@ fn propagation_depth_gauge_is_monotonic_across_rounds() {
         });
     });
     assert_eq!(
-        mgr.last_propagation_depth(),
-        3,
+        mgr.metric(Metric::PropagationDepth),
+        Some(3),
         "racing rounds must leave the max depth, not the last store"
     );
 }

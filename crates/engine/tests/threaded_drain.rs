@@ -99,7 +99,7 @@ fn shutdown_drains_a_partial_epoch() {
 
     assert_eq!(manager.pending_update_count(), 0, "drained at shutdown");
     assert_eq!(sub.get().as_u64(), Some(42));
-    assert_eq!(manager.epoch_count(), 1);
+    assert_eq!(manager.stats().epochs, 1);
 }
 
 #[test]

@@ -12,8 +12,8 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use streammeta_core::{
-    MetadataKey, MetadataManager, MetadataValue, Result, Subscription, SystemRelation, TraceRecord,
-    META_NODE,
+    MetadataKey, MetadataManager, MetadataValue, Metric, Result, Subscription, SystemRelation,
+    TraceRecord,
 };
 use streammeta_time::Timestamp;
 
@@ -75,7 +75,7 @@ impl Recorder {
         Ok(self.series.len() - 1)
     }
 
-    /// Tracks the [`META_NODE`] failure-containment counters — retries,
+    /// Tracks the meta node's failure-containment counters — retries,
     /// quarantine trips, currently-quarantined items, stale serves,
     /// deadline overruns — under `meta_*` labels in one call, for chaos
     /// experiments and dashboards. Requires the manager's meta node
@@ -83,15 +83,14 @@ impl Recorder {
     /// indices in the order listed above.
     pub fn track_containment(&mut self) -> Result<[usize; 5]> {
         let mut out = [0; 5];
-        for (slot, item) in out.iter_mut().zip([
-            "meta.retries",
-            "meta.quarantine_trips",
-            "meta.quarantined",
-            "meta.stale_serves",
-            "meta.deadline_overruns",
+        for (slot, metric) in out.iter_mut().zip([
+            Metric::Retries,
+            Metric::QuarantineTrips,
+            Metric::Quarantined,
+            Metric::StaleServes,
+            Metric::DeadlineOverruns,
         ]) {
-            let label = format!("meta_{}", &item["meta.".len()..]);
-            *slot = self.track(label, MetadataKey::new(META_NODE, item))?;
+            *slot = self.track(format!("meta_{}", metric.name()), metric.meta_key())?;
         }
         Ok(out)
     }
@@ -200,9 +199,10 @@ impl Recorder {
 
     /// The tracked items in Prometheus text exposition format: one gauge
     /// per series with `node`/`item` labels, read at call time (what a
-    /// scrape would see), followed by the manager-level failure-
-    /// containment counters (`streammeta_manager_*`). Non-numeric and
-    /// unavailable values are skipped.
+    /// scrape would see), followed by every metric of the manager's
+    /// metric table under its [`Metric::prometheus_name`] (listed in
+    /// `docs/METRICS.md`).
+    /// Non-numeric and unavailable values are skipped.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
         for s in &self.series {
@@ -211,105 +211,79 @@ impl Recorder {
             };
             let name = prometheus_name(&s.label);
             let key = s.sub.key();
-            let _ = writeln!(out, "# HELP {name} metadata item {key}");
-            let _ = writeln!(out, "# TYPE {name} gauge");
             let _ = writeln!(
                 out,
-                "{name}{{node=\"{}\",item=\"{}\"}} {v}",
-                key.node, key.item
+                "# HELP {name} metadata item {}",
+                escape_help(&key.to_string())
             );
+            let _ = writeln!(out, "# TYPE {name} gauge");
+            let _ = writeln!(out, "{name}{{{}}} {v}", key_labels(key));
         }
-        // Manager-level containment counters are always exported: a
-        // scrape must see them even when nothing subscribes to the
-        // META_NODE items (distinct `streammeta_manager_*` names keep
-        // them from colliding with tracked `streammeta_meta_*` series).
-        let stats = self.manager.stats();
-        let mut counter = |name: &str, help: &str, v: u64| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {v}");
-        };
-        counter(
-            "streammeta_manager_retries_total",
-            "backoff retries scheduled after failed metadata evaluations",
-            stats.retries,
-        );
-        counter(
-            "streammeta_manager_quarantine_trips_total",
-            "times the quarantine circuit breaker tripped",
-            stats.quarantine_trips,
-        );
-        counter(
-            "streammeta_manager_stale_serves_total",
-            "reads served a degraded (stale last-good) value",
-            stats.stale_serves,
-        );
-        counter(
-            "streammeta_manager_deadline_overruns_total",
-            "metadata computes that exceeded their declared deadline",
-            stats.deadline_overruns,
-        );
-        counter(
-            "streammeta_manager_epochs_total",
-            "epoch flushes performed in epoch propagation mode",
-            stats.epochs,
-        );
-        counter(
-            "streammeta_manager_coalesced_updates_total",
-            "source updates coalesced into an already-pending epoch",
-            stats.coalesced_updates,
-        );
-        let quarantined = self.manager.quarantined_count();
-        let _ = writeln!(
-            out,
-            "# HELP streammeta_manager_quarantined items currently quarantined"
-        );
-        let _ = writeln!(out, "# TYPE streammeta_manager_quarantined gauge");
-        let _ = writeln!(out, "streammeta_manager_quarantined {quarantined}");
+        // The manager's own metrics are always exported: a scrape must
+        // see them even when nothing subscribes to the META_NODE items
+        // (the distinct prefix keeps them from colliding with tracked
+        // `streammeta_meta_*` series). One snapshot for all of them.
+        for (metric, value) in self.manager.metrics() {
+            let Some(value) = value else { continue };
+            let name = metric.prometheus_name();
+            let _ = writeln!(out, "# HELP {name} {}", metric.help());
+            let _ = writeln!(out, "# TYPE {name} {}", metric.kind().as_str());
+            let _ = writeln!(out, "{name} {value}");
+        }
         // Per-handler compute-latency quantiles as one Prometheus summary
-        // family. Quantiles exist only while the manager's latency
-        // profiling switch is on; handlers without observations are
-        // skipped so the exposition stays empty-but-well-formed when
-        // profiling is off.
-        let mut wrote_header = false;
-        for key in self.manager.included_keys() {
-            let Some(stats) = self.manager.handler_stats(&key) else {
-                continue;
-            };
-            let quantiles = [
-                ("0.5", stats.latency_p50),
-                ("0.95", stats.latency_p95),
-                ("0.99", stats.latency_p99),
-            ];
-            if quantiles.iter().all(|(_, v)| v.is_none()) {
-                continue;
-            }
-            if !wrote_header {
+        // family. Quantiles exist only for handlers evaluated while the
+        // manager's latency profiling switch was on, so the exposition
+        // stays empty-but-well-formed when profiling is off.
+        for (i, (key, stats)) in self.manager.profiled_handler_stats().iter().enumerate() {
+            if i == 0 {
                 let _ = writeln!(
                     out,
                     "# HELP streammeta_handler_compute_seconds per-handler compute latency (requires latency profiling)"
                 );
                 let _ = writeln!(out, "# TYPE streammeta_handler_compute_seconds summary");
-                wrote_header = true;
             }
-            for (q, v) in quantiles {
-                let Some(ns) = v else { continue };
+            let labels = key_labels(key);
+            for (q, ns) in [
+                ("0.5", stats.latency_p50),
+                ("0.95", stats.latency_p95),
+                ("0.99", stats.latency_p99),
+            ] {
+                let Some(ns) = ns else { continue };
                 let _ = writeln!(
                     out,
-                    "streammeta_handler_compute_seconds{{node=\"{}\",item=\"{}\",quantile=\"{q}\"}} {}",
-                    key.node,
-                    key.item,
+                    "streammeta_handler_compute_seconds{{{labels},quantile=\"{q}\"}} {}",
                     ns as f64 * 1e-9
                 );
             }
             let _ = writeln!(
                 out,
-                "streammeta_handler_compute_seconds_count{{node=\"{}\",item=\"{}\"}} {}",
-                key.node, key.item, stats.computes
+                "streammeta_handler_compute_seconds_count{{{labels}}} {}",
+                stats.computes
             );
         }
         out
     }
+}
+
+/// Escapes `\` and newline, as the exposition format requires of HELP
+/// text.
+fn escape_help(s: &str) -> String {
+    s.replace('\\', "\\\\").replace('\n', "\\n")
+}
+
+/// Escapes `\`, newline and `"`: the body of a Prometheus label value
+/// or of a JSON string.
+fn escape_quoted(s: &str) -> String {
+    escape_help(s).replace('"', "\\\"")
+}
+
+/// The `node="…",item="…"` label pair of `key`.
+fn key_labels(key: &MetadataKey) -> String {
+    format!(
+        "node=\"{}\",item=\"{}\"",
+        escape_quoted(&key.node.to_string()),
+        escape_quoted(&key.item.to_string())
+    )
 }
 
 /// Renders one catalog snapshot (see
@@ -396,7 +370,6 @@ pub fn render_chrome_trace(
             slices.insert(ctx.span, r);
         }
     }
-    let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     let mut out = String::from("{\"traceEvents\":[");
     let mut first = true;
     let sep = |out: &mut String, first: &mut bool| {
@@ -410,7 +383,7 @@ pub fn render_chrome_trace(
         let _ = write!(
             out,
             "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"args\":{{\"name\":\"{}\"}}}}",
-            escape(name)
+            escape_quoted(name)
         );
     }
     for r in slices.values() {
@@ -425,7 +398,7 @@ pub fn render_chrome_trace(
             out,
             "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\
              \"args\":{{\"span\":{},\"parent\":{},\"roots\":\"{}\",\"depth\":{}}}}}",
-            escape(&name),
+            escape_quoted(&name),
             r.tid.unwrap_or(0),
             ctx.start.units(),
             r.at.units().saturating_sub(ctx.start.units()),
@@ -671,6 +644,123 @@ mod tests {
             stats.quarantine_trips
         )));
         assert!(text.contains("streammeta_manager_quarantined 1"));
+    }
+
+    /// The metric table is the only list of manager metrics: every entry
+    /// must surface as a meta item, through `metric()`/`stats()` and as
+    /// a Prometheus line, with nothing hand-added on the side.
+    #[test]
+    fn every_table_metric_has_a_meta_item_and_a_prometheus_line() {
+        use std::collections::BTreeSet;
+        use streammeta_core::{RingBufferSink, RotatingFileSink, TeeSink};
+        let (_clock, mgr) = setup();
+        let meta = mgr.install_meta_node(TimeSpan(10));
+        // Install every optional component so no metric is unavailable.
+        let dir = std::env::temp_dir().join(format!("streammeta_table_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = RotatingFileSink::create(dir.join("t.jsonl"), 1 << 20).unwrap();
+        mgr.set_trace_sink(Some(TeeSink::new(vec![RingBufferSink::new(4096), file])));
+        mgr.enable_catalog_spans(16);
+        let _activity = mgr.subscribe(MetadataKey::new(NodeId(0), "t")).unwrap();
+
+        // Exactly one item per table entry, plus the hand-defined rate.
+        assert_eq!(meta.available().len(), Metric::ALL.len() + 1);
+        for &m in Metric::ALL {
+            let sub = mgr.subscribe(m.meta_key()).unwrap();
+            let via_item = sub.get().as_u64();
+            assert!(via_item.is_some(), "{m:?} unavailable");
+            assert_eq!(via_item, mgr.metric(m), "{m:?}: meta item vs metric()");
+        }
+        let snapshot = mgr.metrics();
+        let get = |m| snapshot.iter().find(|(s, _)| *s == m).unwrap().1;
+        let stats = mgr.stats();
+        for (m, field) in [
+            (Metric::Handlers, stats.handlers as u64),
+            (Metric::Subscriptions, stats.subscriptions as u64),
+            (Metric::Computes, stats.computes),
+            (Metric::Updates, stats.updates),
+            (Metric::Accesses, stats.accesses),
+            (Metric::Propagations, stats.propagations),
+            (Metric::ComputeFailures, stats.compute_failures),
+            (Metric::DeadlineMisses, stats.deadline_misses),
+            (Metric::FastReads, stats.fast_reads),
+            (Metric::ShardReads, stats.shard_reads),
+            (Metric::DeadlineOverruns, stats.deadline_overruns),
+            (Metric::Retries, stats.retries),
+            (Metric::QuarantineTrips, stats.quarantine_trips),
+            (Metric::StaleServes, stats.stale_serves),
+            (Metric::Epochs, stats.epochs),
+            (Metric::CoalescedUpdates, stats.coalesced_updates),
+        ] {
+            assert_eq!(get(m), Some(field), "{m:?}: metrics() vs stats()");
+        }
+        assert!(stats.computes > 0 && stats.accesses > 0 && stats.handlers > 0);
+
+        let text = Recorder::new(mgr.clone()).render_prometheus();
+        for (m, value) in &snapshot {
+            let (name, value) = (m.prometheus_name(), value.unwrap());
+            let kind = m.kind().as_str();
+            assert_eq!(name.ends_with("_total"), kind == "counter", "{name}");
+            assert!(text.contains(&format!("# HELP {name} {}\n", m.help())));
+            assert!(text.contains(&format!("# TYPE {name} {kind}\n")), "{name}");
+            assert!(text.contains(&format!("\n{name} {value}\n")), "{name}");
+        }
+        assert_eq!(
+            text.matches("streammeta_manager_").count(),
+            3 * Metric::ALL.len(),
+            "a manager line that is not in the table:\n{text}"
+        );
+
+        let unique = |names: Vec<String>| names.iter().collect::<BTreeSet<_>>().len();
+        let all = || Metric::ALL.iter();
+        assert_eq!(
+            unique(all().map(|m| m.name().into()).collect()),
+            Metric::ALL.len()
+        );
+        assert_eq!(
+            unique(all().map(|m| m.prometheus_name()).collect()),
+            Metric::ALL.len()
+        );
+        // The names scrapers already depend on.
+        for (m, name) in [
+            (Metric::Retries, "streammeta_manager_retries_total"),
+            (
+                Metric::QuarantineTrips,
+                "streammeta_manager_quarantine_trips_total",
+            ),
+            (Metric::StaleServes, "streammeta_manager_stale_serves_total"),
+            (
+                Metric::DeadlineOverruns,
+                "streammeta_manager_deadline_overruns_total",
+            ),
+            (Metric::Epochs, "streammeta_manager_epochs_total"),
+            (
+                Metric::CoalescedUpdates,
+                "streammeta_manager_coalesced_updates_total",
+            ),
+            (Metric::Quarantined, "streammeta_manager_quarantined"),
+        ] {
+            assert_eq!(m.prometheus_name(), name);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn prometheus_escapes_label_values() {
+        let (_clock, mgr) = setup();
+        let reg = mgr.registry(NodeId(0)).unwrap();
+        let odd = "a\"b\\c\nd";
+        reg.define(ItemDef::static_value(odd, 1u64));
+        let mut rec = Recorder::new(mgr.clone());
+        rec.track("odd", MetadataKey::new(NodeId(0), odd)).unwrap();
+        let text = rec.render_prometheus();
+        let labels = r#"{node="n0",item="a\"b\\c\nd"}"#;
+        assert!(
+            text.contains(&format!("streammeta_odd{labels} 1\n")),
+            "{text}"
+        );
+        // The raw newline reaches neither the sample nor its HELP line.
+        assert!(!text.contains("c\nd"), "{text}");
     }
 
     #[test]
