@@ -4,17 +4,22 @@
 //! included, one deliberately slow item) is materialised through the
 //! `sys.*` system relations and queried three ways:
 //!
-//! 1. **Snapshot cost** — wall-clock latency of `catalog_rows` for each
-//!    relation, with the row counts.
+//! 1. **Snapshot cost** — wall-clock latency of `catalog_rows` (every
+//!    cell of every row) for each relation, with the row counts.
 //! 2. **One-shot queries** — `query_once` latency for a filtered
-//!    projection and an aggregate over `sys.handlers`.
+//!    projection and an aggregate over `sys.handlers`. Both are scans
+//!    that build only the cells they read, so the run also reports how
+//!    much cheaper they are than the full `sys.handlers` snapshot and
+//!    asserts the floor CI gates on: `COUNT(*)`, which reads no cell,
+//!    is at least 5x cheaper (a ratio within one process, so machine
+//!    speed cancels).
 //! 3. **Continuous alert** — `SELECT key, p99 FROM sys.handlers WHERE
 //!    p99 > 1000000` installed via `install_continuous`; the run asserts
 //!    the alert fires through normal observer delivery and names the
 //!    slow item.
 //!
-//! Refresh overhead is measured as wall time per periodic window in
-//! three configurations: plain (latency profiling only), trace bus
+//! Latencies are the best of three runs. Refresh overhead is measured
+//! as wall time per periodic window in three configurations: plain (latency profiling only), trace bus
 //! enabled (the `trace_overhead` baseline), and trace plus the installed
 //! continuous catalog query. Results go to `$RESULTS_DIR/e21_catalog.csv`
 //! (metric,value) and `$RESULTS_DIR/BENCH_e21.json`.
@@ -88,6 +93,22 @@ fn build() -> (Arc<VirtualClock>, Arc<MetadataManager>, Vec<Subscription>) {
     (clock, manager, subs)
 }
 
+/// The fastest of three runs of `f`, in µs, with the last result.
+fn best_of_three<T>(mut f: impl FnMut() -> T) -> (f64, T) {
+    let mut run = || {
+        let start = Instant::now();
+        let out = f();
+        (start.elapsed().as_secs_f64() * 1e6, out)
+    };
+    let (mut best, mut out) = run();
+    for _ in 0..2 {
+        let (us, next) = run();
+        best = best.min(us);
+        out = next;
+    }
+    (best, out)
+}
+
 /// Wall time of `windows` periodic refresh windows, in µs per window.
 fn churn(clock: &Arc<VirtualClock>, manager: &Arc<MetadataManager>, windows: u32) -> f64 {
     let start = Instant::now();
@@ -121,12 +142,14 @@ fn main() {
 
     // 1. Snapshot latency and row counts per relation.
     println!("\n— relation snapshots —");
+    let mut handlers_snapshot_us = 0.0;
     for rel in SystemRelation::ALL {
-        let start = Instant::now();
-        let rows = manager.catalog_rows(rel);
-        let us = start.elapsed().as_micros();
+        let (us, rows) = best_of_three(|| manager.catalog_rows(rel));
+        if rel == SystemRelation::Handlers {
+            handlers_snapshot_us = us;
+        }
         let short = rel.name().trim_start_matches("sys.").to_string();
-        println!("{:<20} {:>7} rows  {:>8} us", rel.name(), rows.len(), us);
+        println!("{:<24} {:>7} rows  {:>9.1} us", rel.name(), rows.len(), us);
         record(
             &mut csv,
             &mut json,
@@ -137,31 +160,30 @@ fn main() {
             &mut csv,
             &mut json,
             &format!("snapshot_us_{short}"),
-            us.to_string(),
+            format!("{us:.1}"),
         );
     }
 
     // 2. One-shot CQL over the relations.
     let mut catalog = Catalog::new();
     attach_system(&mut catalog, manager.clone());
-    let start = Instant::now();
-    let res = query_once(&catalog, ALERT_QUERY).expect("one-shot query");
-    let query_us = start.elapsed().as_micros();
+    let (query_us, res) =
+        best_of_three(|| query_once(&catalog, ALERT_QUERY).expect("one-shot query"));
     println!("\n— one-shot query: slow handlers (p99 > 1ms) —");
-    print!("{}", {
-        // Render through the catalog table formatter (the CLI path).
-        let rows = res.rows.clone();
-        let mut listing = format!("{} matches in {} us\n", rows.len(), query_us);
-        for r in &rows {
-            let _ = writeln!(listing, "  {}  p99={}", r[0], r[1]);
-        }
-        listing
-    });
+    println!("{} matches in {query_us:.1} us", res.rows.len());
+    for r in &res.rows {
+        println!("  {}  p99={}", r[0], r[1]);
+    }
     assert!(
         res.rows.iter().any(|r| r[0].as_text() == Some("n0/slow")),
         "slow item missing from one-shot matches"
     );
-    record(&mut csv, &mut json, "query_once_us", query_us.to_string());
+    record(
+        &mut csv,
+        &mut json,
+        "query_once_us",
+        format!("{query_us:.1}"),
+    );
     record(
         &mut csv,
         &mut json,
@@ -169,13 +191,46 @@ fn main() {
         res.rows.len().to_string(),
     );
 
-    let start = Instant::now();
-    let count = query_once(&catalog, "SELECT COUNT(*) FROM sys.handlers").expect("count");
-    let agg_us = start.elapsed().as_micros();
-    record(&mut csv, &mut json, "aggregate_us", agg_us.to_string());
+    let (agg_us, count) =
+        best_of_three(|| query_once(&catalog, "SELECT COUNT(*) FROM sys.handlers").expect("count"));
+    record(&mut csv, &mut json, "aggregate_us", format!("{agg_us:.1}"));
     println!(
-        "aggregate COUNT(*) over sys.handlers: {} in {} us",
-        count.rows[0][0], agg_us
+        "aggregate COUNT(*) over sys.handlers: {} in {agg_us:.1} us",
+        count.rows[0][0]
+    );
+    assert_eq!(
+        count.rows[0][0].as_f64(),
+        Some(manager.handler_count() as f64)
+    );
+
+    // What reading fewer cells buys over the full snapshot of the same
+    // relation, measured in this process.
+    let count_speedup = handlers_snapshot_us / agg_us;
+    let alert_speedup = handlers_snapshot_us / query_us;
+    println!("\n— pushdown: sys.handlers scans against its full snapshot —");
+    println!("full snapshot (13 cells of every row)  {handlers_snapshot_us:>9.1} us");
+    println!(
+        "alert query (p99 of every row)         {query_us:>9.1} us  ({alert_speedup:.1}x cheaper)"
+    );
+    println!(
+        "COUNT(*) (no cell)                     {agg_us:>9.1} us  ({count_speedup:.1}x cheaper)"
+    );
+    record(
+        &mut csv,
+        &mut json,
+        "count_speedup_vs_snapshot",
+        format!("{count_speedup:.1}"),
+    );
+    record(
+        &mut csv,
+        &mut json,
+        "alert_speedup_vs_snapshot",
+        format!("{alert_speedup:.1}"),
+    );
+    assert!(
+        count_speedup >= 5.0,
+        "COUNT(*) over sys.handlers took {agg_us:.1} us, the full snapshot {handlers_snapshot_us:.1} us: \
+         a query that reads no cell must be at least 5x cheaper"
     );
 
     // 3. Refresh overhead: plain vs trace bus vs trace + continuous query.
@@ -208,7 +263,7 @@ fn main() {
         overhead(trace_us)
     );
     println!(
-        "trace + alert query  {catalog_us:>10.1} us/window  ({:+.1}%)",
+        "trace + alert query  {catalog_us:>10.1} us/window  ({:+.1}%; ROADMAP 5(a) targets <25%)",
         overhead(catalog_us)
     );
     record(

@@ -76,7 +76,7 @@ impl HistogramMonitor {
 
     /// A consistent-enough snapshot of the current counts.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
+        HistogramSnapshot(Arc::new(SnapshotData {
             lo: self.lo,
             hi: self.hi,
             width: self.width,
@@ -87,17 +87,22 @@ impl HistogramMonitor {
                 .collect(),
             underflow: self.underflow.load(Ordering::Relaxed),
             overflow: self.overflow.load(Ordering::Relaxed),
-        }
+        }))
     }
 }
 
-/// An immutable histogram snapshot.
+/// An immutable histogram snapshot. One shared pointer wide, so the
+/// histogram variant does not set the size of every
+/// [`crate::MetadataValue`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistogramSnapshot {
+pub struct HistogramSnapshot(Arc<SnapshotData>);
+
+#[derive(Debug, PartialEq, Eq)]
+struct SnapshotData {
     lo: i64,
     hi: i64,
     width: u64,
-    counts: Arc<[u64]>,
+    counts: Box<[u64]>,
     underflow: u64,
     overflow: u64,
 }
@@ -105,19 +110,19 @@ pub struct HistogramSnapshot {
 impl HistogramSnapshot {
     /// Total observations (including out-of-range).
     pub fn total(&self) -> u64 {
-        self.counts.iter().sum::<u64>() + self.underflow + self.overflow
+        self.0.counts.iter().sum::<u64>() + self.0.underflow + self.0.overflow
     }
 
     /// The first value classified as overflow. Bucket widths round up, so
     /// this can sit slightly above the configured `hi`; computed in `i128`
     /// because `lo + buckets * width` can exceed the `i64` range.
     fn upper_edge(&self) -> i128 {
-        self.lo as i128 + (self.counts.len() as u128 * self.width as u128) as i128
+        self.0.lo as i128 + (self.0.counts.len() as u128 * self.0.width as u128) as i128
     }
 
     /// The bucket counts.
     pub fn counts(&self) -> &[u64] {
-        &self.counts
+        &self.0.counts
     }
 
     /// Estimated fraction of values `< bound` (linear interpolation
@@ -127,14 +132,14 @@ impl HistogramSnapshot {
         if total == 0 {
             return None;
         }
-        let mut below = self.underflow as f64;
-        for (i, &count) in self.counts.iter().enumerate() {
-            let b_lo = self.lo + (i as u64 * self.width) as i64;
-            let b_hi = b_lo + self.width as i64;
+        let mut below = self.0.underflow as f64;
+        for (i, &count) in self.0.counts.iter().enumerate() {
+            let b_lo = self.0.lo + (i as u64 * self.0.width) as i64;
+            let b_hi = b_lo + self.0.width as i64;
             if bound >= b_hi {
                 below += count as f64;
             } else if bound > b_lo {
-                let frac = (bound - b_lo) as f64 / self.width as f64;
+                let frac = (bound - b_lo) as f64 / self.0.width as f64;
                 below += count as f64 * frac;
                 break;
             } else {
@@ -147,7 +152,7 @@ impl HistogramSnapshot {
         // never reaches 1.0 after an out-of-range observation, even for
         // `bound == i64::MAX`.
         if bound as i128 > self.upper_edge() {
-            below += self.overflow as f64;
+            below += self.0.overflow as f64;
         }
         Some(below / total as f64)
     }
@@ -159,18 +164,18 @@ impl HistogramSnapshot {
         if total == 0 {
             return None;
         }
-        if v < self.lo {
+        if v < self.0.lo {
             return Some(0.0);
         }
-        let idx = ((v - self.lo) as u64 / self.width) as usize;
-        let Some(&count) = self.counts.get(idx) else {
+        let idx = ((v - self.0.lo) as u64 / self.0.width) as usize;
+        let Some(&count) = self.0.counts.get(idx) else {
             // Above the upper edge: attribute the overflow mass, spread over
             // one bucket width (the same uniformity convention as in-range
             // buckets). Returning 0.0 here would hide every observation that
             // landed above `hi`.
-            return Some(self.overflow as f64 / self.width as f64 / total as f64);
+            return Some(self.0.overflow as f64 / self.0.width as f64 / total as f64);
         };
-        Some(count as f64 / self.width as f64 / total as f64)
+        Some(count as f64 / self.0.width as f64 / total as f64)
     }
 
     /// Nearest-rank percentile estimate (`0.0 < p <= 1.0`), reported as
@@ -183,32 +188,32 @@ impl HistogramSnapshot {
             return None;
         }
         let rank = ((p * total as f64).ceil() as u64).clamp(1, total);
-        let mut cum = self.underflow;
+        let mut cum = self.0.underflow;
         if rank <= cum {
-            return Some(self.lo);
+            return Some(self.0.lo);
         }
-        for (i, &count) in self.counts.iter().enumerate() {
+        for (i, &count) in self.0.counts.iter().enumerate() {
             cum += count;
             if rank <= cum {
                 // Bucket edges are spaced by the rounded-up width, so the
                 // last edge can exceed the configured domain top when the
                 // span is not divisible by the bucket count; clamp so the
                 // reported percentile stays within `[lo, hi]`.
-                return Some((self.lo + ((i as u64 + 1) * self.width) as i64).min(self.hi));
+                return Some((self.0.lo + ((i as u64 + 1) * self.0.width) as i64).min(self.0.hi));
             }
         }
-        Some(self.hi)
+        Some(self.0.hi)
     }
 
     /// Renders `bucket_lo:count` pairs, for textual metadata export.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        for (i, &count) in self.counts.iter().enumerate() {
+        for (i, &count) in self.0.counts.iter().enumerate() {
             if i > 0 {
                 out.push(' ');
             }
-            let b_lo = self.lo + (i as u64 * self.width) as i64;
+            let b_lo = self.0.lo + (i as u64 * self.0.width) as i64;
             let _ = write!(out, "{b_lo}:{count}");
         }
         out

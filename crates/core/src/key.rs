@@ -45,6 +45,11 @@ impl ItemPath {
         &self.0
     }
 
+    /// The shared string behind the path, for consumers that keep it.
+    pub fn as_arc(&self) -> &Arc<str> {
+        &self.0
+    }
+
     /// `self` prefixed with a module name: `prefix.self`.
     pub fn scoped(&self, prefix: &str) -> ItemPath {
         if prefix.is_empty() {

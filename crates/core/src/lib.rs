@@ -90,7 +90,7 @@ pub mod sync;
 mod trace;
 mod value;
 
-pub use catalog::{RelationColumn, SystemRelation, CATALOG_NODE};
+pub use catalog::{CatalogRow, ColumnType, RelationColumn, SystemRelation, CATALOG_NODE};
 pub use error::{MetadataError, Result};
 pub use estimators::{Ewma, IntervalRate, OnlineAverage, OnlineVariance, WindowDelta};
 pub use fault::{DelayFn, FaultAction, FaultPlan, FaultSchedule};

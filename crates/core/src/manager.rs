@@ -44,6 +44,7 @@ use crate::fault::{FaultAction, FaultPlan};
 use crate::handler::{Handler, HandlerStats};
 use crate::item::{DepReader, DepSource, EvalCtx, ItemDef, Mechanism};
 use crate::metrics::{Metric, MetricSlots};
+use crate::partition::PartitionedMetadataPlane;
 use crate::registry::NodeRegistry;
 use crate::shards::HandlerShards;
 use crate::subscription::Subscription;
@@ -232,16 +233,12 @@ pub struct MetadataManager {
     /// multi-partition traces stay per-item monotonic because tracelint
     /// keys item state by `(partition, key)`.
     trace_part: AtomicU64,
-    /// Rows provider for the plane-level catalog relations
-    /// (`sys.partitions`, `sys.remote_subscriptions`), installed on every
-    /// partition by the plane; empty relations without one.
-    plane_rows: RwLock<Option<Arc<PlaneRowsFn>>>,
+    /// The plane this manager is a partition of — where the plane-level
+    /// catalog relations (`sys.partitions`, `sys.remote_subscriptions`)
+    /// get their rows; they are empty on a stand-alone manager.
+    plane: RwLock<Weak<PartitionedMetadataPlane>>,
     self_weak: Weak<MetadataManager>,
 }
-
-/// Rows provider signature of the plane-level catalog relations.
-pub(crate) type PlaneRowsFn =
-    dyn Fn(crate::catalog::SystemRelation) -> Vec<Vec<MetadataValue>> + Send + Sync;
 
 /// How the manager reacts when an installed validator reports
 /// violations for a subscription (see [`MetadataManager::set_validator`]).
@@ -303,7 +300,7 @@ impl MetadataManager {
             tid_map: Mutex::new(HashMap::new()),
             tid_labels: Mutex::new(BTreeMap::new()),
             trace_part: AtomicU64::new(u64::MAX),
-            plane_rows: RwLock::new(None),
+            plane: RwLock::new(Weak::new()),
             self_weak: weak.clone(),
         })
     }
@@ -538,13 +535,10 @@ impl MetadataManager {
         Some(ctx)
     }
 
-    /// A stable snapshot of all live handlers, sorted by key — the raw
-    /// material of the catalog relations.
+    /// All live handlers, in no particular order, copied out from under
+    /// the bookkeeping lock — the raw material of the catalog relations.
     pub(crate) fn handlers_snapshot(&self) -> Vec<Arc<Handler>> {
-        let mut handlers: Vec<Arc<Handler>> =
-            self.inner.lock().handlers.values().cloned().collect();
-        handlers.sort_by(|a, b| a.key.cmp(&b.key));
-        handlers
+        self.inner.lock().handlers.values().cloned().collect()
     }
 
     /// Calls `f` on every live handler (in no particular order) under
@@ -584,21 +578,15 @@ impl MetadataManager {
         self.slots.get(Metric::RemoteUpdates)
     }
 
-    /// Installs (or clears) the plane-level catalog rows provider.
-    pub(crate) fn set_plane_rows(&self, rows: Option<Arc<PlaneRowsFn>>) {
-        *self.plane_rows.write() = rows;
+    /// Records the plane this manager is a partition of.
+    pub(crate) fn set_plane(&self, plane: Weak<PartitionedMetadataPlane>) {
+        *self.plane.write() = plane;
     }
 
-    /// The plane-level catalog rows for `relation`; empty when this
-    /// manager is not part of a partitioned plane.
-    pub(crate) fn plane_rows(
-        &self,
-        relation: crate::catalog::SystemRelation,
-    ) -> Vec<Vec<MetadataValue>> {
-        match self.plane_rows.read().clone() {
-            Some(f) => f(relation),
-            None => Vec::new(),
-        }
+    /// The plane this manager is a partition of, if any — the source of
+    /// the plane-level catalog relations.
+    pub(crate) fn plane(&self) -> Option<Arc<PartitionedMetadataPlane>> {
+        self.plane.read().upgrade()
     }
 
     /// Number of currently quarantined items ([`Metric::Quarantined`]).

@@ -37,7 +37,7 @@ use std::sync::{Arc, Weak};
 use parking_lot::Mutex;
 use streammeta_time::{ClockRef, TimeSpan, Timestamp};
 
-use crate::catalog::SystemRelation;
+use crate::catalog::{LinkRow, PartitionRow};
 use crate::item::{DepTarget, FallbackPolicy, ItemDef};
 use crate::key::{EventKey, ItemPath, MetadataKey, NodeId};
 use crate::manager::MetadataManager;
@@ -276,12 +276,7 @@ impl PartitionedMetadataPlane {
                 },
             );
         for m in &plane.partitions {
-            let weak = plane.self_weak.clone();
-            m.set_plane_rows(Some(Arc::new(move |relation| {
-                weak.upgrade()
-                    .map(|p| p.relation_rows(relation))
-                    .unwrap_or_default()
-            })));
+            m.set_plane(plane.self_weak.clone());
         }
         plane
     }
@@ -618,54 +613,45 @@ impl PartitionedMetadataPlane {
         self.links.lock().len()
     }
 
-    /// Rows of the plane-level catalog relations (`sys.partitions`,
-    /// `sys.remote_subscriptions`); every partition serves the same
-    /// plane-wide tables through its catalog.
-    fn relation_rows(&self, relation: SystemRelation) -> Vec<Vec<MetadataValue>> {
-        match relation {
-            SystemRelation::Partitions => {
-                let links = self.links.lock();
-                (0..self.partitions.len())
-                    .map(|i| {
-                        let m = &self.partitions[i];
-                        let outgoing = links.iter().filter(|((home, _), _)| *home == i).count();
-                        vec![
-                            MetadataValue::U64(i as u64),
-                            MetadataValue::U64(m.nodes().len() as u64),
-                            MetadataValue::U64(m.handler_count() as u64),
-                            MetadataValue::U64(outgoing as u64),
-                            MetadataValue::Bool(self.is_link_up(i)),
-                            MetadataValue::U64(m.remote_update_count()),
-                        ]
-                    })
-                    .collect()
-            }
-            SystemRelation::RemoteSubscriptions => {
-                let links = self.links.lock();
-                let mut rows: Vec<(String, Vec<MetadataValue>)> = links
-                    .iter()
-                    .map(|((home, key), s)| {
-                        let state = if self.is_link_up(s.owner) {
-                            "up"
-                        } else {
-                            "down"
-                        };
-                        let row = vec![
-                            MetadataValue::text(key.to_string()),
-                            MetadataValue::U64(*home as u64),
-                            MetadataValue::U64(s.owner as u64),
-                            MetadataValue::text(state),
-                            MetadataValue::U64(s.updates),
-                            MetadataValue::U64(s.cell.remote_version()),
-                        ];
-                        (format!("{key}@{home}"), row)
-                    })
-                    .collect();
-                rows.sort_by(|a, b| a.0.cmp(&b.0));
-                rows.into_iter().map(|(_, row)| row).collect()
-            }
-            _ => Vec::new(),
-        }
+    /// The rows of `sys.partitions`, in partition order. Every partition
+    /// serves the same plane-wide tables through its catalog.
+    pub(crate) fn partition_rows(&self) -> Vec<PartitionRow> {
+        let links = self.links.lock();
+        (0..self.partitions.len())
+            .map(|part| {
+                let m = &self.partitions[part];
+                PartitionRow {
+                    part,
+                    nodes: m.nodes().len(),
+                    handlers: m.handler_count(),
+                    links: links.keys().filter(|(home, _)| *home == part).count(),
+                    up: self.is_link_up(part),
+                    updates: m.remote_update_count(),
+                }
+            })
+            .collect()
+    }
+
+    /// The rows of `sys.remote_subscriptions`, ordered by `key@part`.
+    pub(crate) fn link_rows(&self) -> Vec<LinkRow> {
+        let mut rows: Vec<(String, LinkRow)> = self
+            .links
+            .lock()
+            .iter()
+            .map(|((home, key), s)| {
+                let row = LinkRow {
+                    key: key.clone(),
+                    part: *home,
+                    owner: s.owner,
+                    up: self.is_link_up(s.owner),
+                    updates: s.updates,
+                    version: s.cell.remote_version(),
+                };
+                (format!("{key}@{home}"), row)
+            })
+            .collect();
+        rows.sort_by(|a, b| a.0.cmp(&b.0));
+        rows.into_iter().map(|(_, row)| row).collect()
     }
 }
 
@@ -681,6 +667,7 @@ impl std::fmt::Debug for PartitionedMetadataPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SystemRelation;
     use streammeta_time::VirtualClock;
 
     #[test]
@@ -722,6 +709,99 @@ mod tests {
                 .subscribe(MetadataKey::new(NodeId(n), "schema"))
                 .unwrap();
             assert_eq!(sub.get(), MetadataValue::text("a,b"));
+        }
+    }
+
+    /// The plane-level row builder the column table replaced, kept as
+    /// the reference `catalog_rows` must still equal cell for cell.
+    fn reference_rows(
+        plane: &PartitionedMetadataPlane,
+        relation: SystemRelation,
+    ) -> Vec<Vec<MetadataValue>> {
+        let links = plane.links.lock();
+        match relation {
+            SystemRelation::Partitions => (0..plane.partitions.len())
+                .map(|i| {
+                    let m = &plane.partitions[i];
+                    let outgoing = links.iter().filter(|((home, _), _)| *home == i).count();
+                    vec![
+                        MetadataValue::U64(i as u64),
+                        MetadataValue::U64(m.nodes().len() as u64),
+                        MetadataValue::U64(m.handler_count() as u64),
+                        MetadataValue::U64(outgoing as u64),
+                        MetadataValue::Bool(plane.is_link_up(i)),
+                        MetadataValue::U64(m.remote_update_count()),
+                    ]
+                })
+                .collect(),
+            SystemRelation::RemoteSubscriptions => {
+                let mut rows: Vec<(String, Vec<MetadataValue>)> = links
+                    .iter()
+                    .map(|((home, key), s)| {
+                        let state = if plane.is_link_up(s.owner) {
+                            "up"
+                        } else {
+                            "down"
+                        };
+                        let row = vec![
+                            MetadataValue::text(key.to_string()),
+                            MetadataValue::U64(*home as u64),
+                            MetadataValue::U64(s.owner as u64),
+                            MetadataValue::text(state),
+                            MetadataValue::U64(s.updates),
+                            MetadataValue::U64(s.cell.remote_version()),
+                        ];
+                        (format!("{key}@{home}"), row)
+                    })
+                    .collect();
+                rows.sort_by(|a, b| a.0.cmp(&b.0));
+                rows.into_iter().map(|(_, row)| row).collect()
+            }
+            _ => unreachable!("not a plane-level relation"),
+        }
+    }
+
+    #[test]
+    fn plane_relations_equal_the_reference_builder() {
+        let clock = VirtualClock::shared();
+        let plane = PartitionedMetadataPlane::new(clock, 4);
+        // Twelve sources, each read by a dependent on another partition.
+        let mut subs = Vec::new();
+        for n in 0..12u32 {
+            let src = NodeId(n);
+            let reg = NodeRegistry::new(src);
+            reg.define(ItemDef::static_value("rate", n as u64));
+            plane.attach_node(reg);
+            let mut dep = NodeId(100 + n);
+            while plane.owner_of(dep) == plane.owner_of(src) {
+                dep = NodeId(dep.0 + 100);
+            }
+            let reg = NodeRegistry::new(dep);
+            reg.define(
+                ItemDef::triggered("double")
+                    .dep_remote("up", MetadataKey::new(src, "rate"))
+                    .compute(|ctx| ctx.dep("up"))
+                    .build(),
+            );
+            plane.attach_node(reg);
+            subs.push(plane.subscribe(MetadataKey::new(dep, "double")).unwrap());
+        }
+        plane.pump();
+        plane.kill_partition(1);
+        for relation in [
+            SystemRelation::Partitions,
+            SystemRelation::RemoteSubscriptions,
+        ] {
+            let reference = reference_rows(&plane, relation);
+            assert!(reference.len() >= 4, "{}", relation.name());
+            for part in plane.partitions() {
+                assert_eq!(
+                    part.catalog_rows(relation),
+                    reference,
+                    "{}",
+                    relation.name()
+                );
+            }
         }
     }
 }

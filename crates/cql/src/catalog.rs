@@ -8,9 +8,11 @@
 //!    relation as a batch of tuples, so ordinary [`crate::compile`] /
 //!    [`crate::install`] queries can range over `sys.handlers` exactly
 //!    like over a data stream.
-//! 2. **One-shot queries** — [`query_once`] evaluates a query directly
-//!    against a relation snapshot, without touching the graph (the
-//!    dashboard/CLI path).
+//! 2. **One-shot queries** — [`query_once`] evaluates a query in one
+//!    scan of the relation ([`MetadataManager::catalog_scan`]), without
+//!    touching the graph (the dashboard/CLI path). The scan builds only
+//!    the cells the query reads: its predicates' columns for every row,
+//!    the projected or aggregated ones for the rows that match.
 //! 3. **Continuous queries** — [`install_continuous`] turns a query
 //!    into a periodic metadata item on [`CATALOG_NODE`]; its matches
 //!    re-evaluate on the manager's own update machinery and observers
@@ -22,11 +24,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 
 use streammeta_core::{
-    ItemDef, MetadataKey, MetadataManager, MetadataValue, NodeRegistry, Subscription,
-    SystemRelation, CATALOG_NODE,
+    CatalogRow, ColumnType, ItemDef, MetadataKey, MetadataManager, MetadataValue, NodeRegistry,
+    Subscription, SystemRelation, CATALOG_NODE,
 };
 use streammeta_graph::QueryGraph;
-use streammeta_streams::{tuple, Element, Generator, Schema, Value, ValueType};
+use streammeta_streams::{tuple, Element, Field, Generator, Schema, Value, ValueType};
 use streammeta_time::{TimeSpan, Timestamp};
 
 use crate::ast::{AggFn, CmpOp, PredicateRhs, Query, SelectList};
@@ -34,18 +36,16 @@ use crate::compile::{Catalog, Scope};
 use crate::error::CqlError;
 use crate::parser::parse;
 
-/// The stream schema of a system relation: text-like columns map to
-/// `Str`, flags to `Bool`, everything else (counts, spans, instants) to
-/// `Int`.
+/// The stream schema of a system relation, read off its column table
+/// ([`SystemRelation::columns`]).
 pub fn relation_schema(relation: SystemRelation) -> Schema {
     Schema::new(relation.columns().iter().map(|c| {
-        let ty = match c.name {
-            "degraded" | "certain" | "up" => ValueType::Bool,
-            "key" | "item" | "mechanism" | "source" | "source_kind" | "dependent" | "role"
-            | "state" | "kind" | "detail" => ValueType::Str,
-            _ => ValueType::Int,
+        let ty = match c.ty {
+            ColumnType::Int => ValueType::Int,
+            ColumnType::Str => ValueType::Str,
+            ColumnType::Bool => ValueType::Bool,
         };
-        streammeta_streams::Field::new(c.name, ty)
+        Field::new(c.name, ty)
     }))
 }
 
@@ -76,9 +76,10 @@ fn cell_f64(cell: &MetadataValue) -> Option<f64> {
     }
 }
 
-/// A live stream source materialising one system relation: every
-/// `refresh` units of manager time it snapshots the relation and emits
-/// its rows as one batch of tuples stamped with the boundary time.
+/// A live stream source materialising one system relation: when polled
+/// at or after a `refresh` boundary of manager time it snapshots the
+/// relation once and emits its rows as one batch of tuples stamped with
+/// the latest boundary reached.
 struct CatalogSource {
     manager: Weak<MetadataManager>,
     relation: SystemRelation,
@@ -113,18 +114,22 @@ impl Generator for CatalogSource {
         // Manager gone: the relation stream genuinely ends.
         let manager = self.manager.upgrade()?;
         let now = manager.clock().now();
-        while self.batch.is_empty() {
-            if self.next_at > now {
-                // Nothing yet — being live, the engine will ask again.
-                return None;
-            }
-            let at = self.next_at;
-            self.next_at = at + self.refresh;
-            for row in manager.catalog_rows(self.relation) {
-                let payload = tuple(row.iter().map(cell_to_value));
-                self.batch.push_back(Element::new(payload, at));
-            }
+        if self.next_at > now {
+            // Nothing yet — being live, the engine will ask again.
+            return None;
         }
+        // One snapshot per poll however far the clock jumped: the
+        // boundaries skipped in between would all have shown this state.
+        let skipped = (now.0 - self.next_at.0) / self.refresh.0;
+        let at = Timestamp(self.next_at.0 + skipped * self.refresh.0);
+        self.next_at = at + self.refresh;
+        let arity = self.schema.arity();
+        self.batch = manager
+            .catalog_scan(self.relation, |row| {
+                let payload = tuple((0..arity).map(|c| cell_to_value(row.cell(c))));
+                Some(Element::new(payload, at))
+            })
+            .into();
         self.batch.pop_front()
     }
 
@@ -165,8 +170,9 @@ pub fn register_system_sources(
 
 /// How a relation query's matched rows project.
 enum PlanOutput {
-    Star,
+    /// The cells of these columns (`*` is every column), in key order.
     Columns(Vec<usize>),
+    /// One row holding the aggregate (`col` is `None` for `COUNT(*)`).
     Aggregate { func: AggFn, col: Option<usize> },
 }
 
@@ -176,13 +182,60 @@ enum RhsIx {
     Col(usize),
 }
 
-/// A query resolved against one system relation's schema.
+/// A query resolved against one system relation's column table. The
+/// cells it reads — predicate columns first, then the projected or
+/// aggregated ones, for matching rows only — are the only ones a scan
+/// builds.
 struct RelationPlan {
     relation: SystemRelation,
     predicates: Vec<(usize, CmpOp, RhsIx)>,
+    /// A predicate compares a `Str` column, and text never compares
+    /// with a number: no row matches, so nothing is scanned.
+    unsatisfiable: bool,
     output: PlanOutput,
     /// Output column labels.
     columns: Vec<String>,
+}
+
+/// A running aggregate over the numeric cells of matched rows.
+struct Fold {
+    /// Matched rows for `COUNT(*)`, numeric cells otherwise.
+    count: u64,
+    sum: f64,
+    min: Option<f64>,
+    max: Option<f64>,
+}
+
+impl Fold {
+    fn new() -> Fold {
+        Fold {
+            count: 0,
+            // What `Iterator::sum` starts from, so an empty SUM stays
+            // bit-identical to summing an empty list.
+            sum: std::iter::empty::<f64>().sum(),
+            min: None,
+            max: None,
+        }
+    }
+
+    fn add(&mut self, v: f64) {
+        self.count += 1;
+        self.sum += v;
+        self.min = Some(self.min.map_or(v, |m| m.min(v)));
+        self.max = Some(self.max.map_or(v, |m| m.max(v)));
+    }
+
+    fn finish(&self, func: AggFn) -> MetadataValue {
+        let value = match func {
+            AggFn::Count => Some(self.count as f64),
+            AggFn::Sum => Some(self.sum),
+            AggFn::Avg if self.count == 0 => None,
+            AggFn::Avg => Some(self.sum / self.count as f64),
+            AggFn::Min => self.min,
+            AggFn::Max => self.max,
+        };
+        value.map_or(MetadataValue::Unavailable, MetadataValue::F64)
+    }
 }
 
 impl RelationPlan {
@@ -200,26 +253,25 @@ impl RelationPlan {
                 "RANGE windows do not apply to relation snapshots".into(),
             ));
         }
-        let schema = relation_schema(relation);
-        let scope = Scope::single(query.from.binding(), schema.clone());
+        let table = relation.columns();
+        let scope = Scope::single(query.from.binding(), relation_schema(relation));
+        let is_text = |col: usize| table[col].ty == ColumnType::Str;
         let mut predicates = Vec::new();
+        let mut unsatisfiable = false;
         for pred in &query.predicates {
             let col = scope.resolve(&pred.column)?;
             let rhs = match &pred.rhs {
                 PredicateRhs::Literal(v) => RhsIx::Lit(*v),
                 PredicateRhs::Column(c) => RhsIx::Col(scope.resolve(c)?),
             };
+            unsatisfiable |= is_text(col) || matches!(rhs, RhsIx::Col(c) if is_text(c));
             predicates.push((col, pred.op, rhs));
         }
-        let all_names = || {
-            relation
-                .columns()
-                .iter()
-                .map(|c| c.name.to_string())
-                .collect::<Vec<_>>()
-        };
         let (output, columns) = match &query.select {
-            SelectList::Star => (PlanOutput::Star, all_names()),
+            SelectList::Star => (
+                PlanOutput::Columns((0..table.len()).collect()),
+                table.iter().map(|c| c.name.to_string()).collect(),
+            ),
             SelectList::Columns(cols) => {
                 let mut indices = Vec::new();
                 let mut names = Vec::new();
@@ -253,19 +305,20 @@ impl RelationPlan {
         Ok(RelationPlan {
             relation,
             predicates,
+            unsatisfiable,
             output,
             columns,
         })
     }
 
-    fn matches(&self, row: &[MetadataValue]) -> bool {
+    fn matches(&self, row: &mut CatalogRow<'_>) -> bool {
         self.predicates.iter().all(|(col, op, rhs)| {
-            let Some(l) = row.get(*col).and_then(cell_f64) else {
+            let Some(l) = cell_f64(row.cell(*col)) else {
                 return false;
             };
             let r = match rhs {
                 RhsIx::Lit(v) => Some(*v as f64),
-                RhsIx::Col(j) => row.get(*j).and_then(cell_f64),
+                RhsIx::Col(j) => cell_f64(row.cell(*j)),
             };
             let Some(r) = r else { return false };
             match op {
@@ -276,37 +329,45 @@ impl RelationPlan {
         })
     }
 
-    /// Filters and projects a relation snapshot.
-    fn evaluate(&self, rows: Vec<Vec<MetadataValue>>) -> Vec<Vec<MetadataValue>> {
-        let matched = rows.into_iter().filter(|r| self.matches(r));
+    /// Scans the relation, handing `keep` the rows every predicate
+    /// matches.
+    fn scan<T>(
+        &self,
+        manager: &MetadataManager,
+        mut keep: impl FnMut(&mut CatalogRow<'_>) -> Option<T>,
+    ) -> Vec<T> {
+        if self.unsatisfiable {
+            return Vec::new();
+        }
+        manager.catalog_scan(self.relation, |row| {
+            if self.matches(row) {
+                keep(row)
+            } else {
+                None
+            }
+        })
+    }
+
+    /// Filters and projects the relation's current state. An aggregate
+    /// folds as it scans, in scan order: every catalog cell is a whole
+    /// number, so the order cannot show in a sum below 2^53.
+    fn evaluate(&self, manager: &MetadataManager) -> Vec<Vec<MetadataValue>> {
         match &self.output {
-            PlanOutput::Star => matched.collect(),
-            PlanOutput::Columns(indices) => matched
-                .map(|row| {
-                    indices
-                        .iter()
-                        .map(|&i| row.get(i).cloned().unwrap_or(MetadataValue::Unavailable))
-                        .collect()
-                })
-                .collect(),
+            PlanOutput::Columns(indices) => self.scan(manager, |row| Some(row.cells(indices))),
             PlanOutput::Aggregate { func, col } => {
-                let cells: Vec<f64> = match col {
-                    None => matched.map(|_| 1.0).collect(),
-                    Some(i) => matched
-                        .filter_map(|r| r.get(*i).and_then(cell_f64))
-                        .collect(),
-                };
-                let value = match func {
-                    AggFn::Count => Some(cells.len() as f64),
-                    AggFn::Sum => Some(cells.iter().sum()),
-                    AggFn::Avg if cells.is_empty() => None,
-                    AggFn::Avg => Some(cells.iter().sum::<f64>() / cells.len() as f64),
-                    AggFn::Min => cells.iter().copied().reduce(f64::min),
-                    AggFn::Max => cells.iter().copied().reduce(f64::max),
-                };
-                vec![vec![
-                    value.map_or(MetadataValue::Unavailable, MetadataValue::F64)
-                ]]
+                let mut fold = Fold::new();
+                self.scan(manager, |row| {
+                    match col {
+                        None => fold.count += 1,
+                        Some(i) => {
+                            if let Some(v) = cell_f64(row.cell(*i)) {
+                                fold.add(v);
+                            }
+                        }
+                    }
+                    None::<()>
+                });
+                vec![vec![fold.finish(*func)]]
             }
         }
     }
@@ -330,7 +391,7 @@ pub fn query_once(catalog: &Catalog, text: &str) -> Result<RelationResult, CqlEr
     let manager = catalog
         .system()
         .ok_or_else(|| CqlError::Compile("catalog has no system side (attach_system)".into()))?;
-    let rows = plan.evaluate(manager.catalog_rows(plan.relation));
+    let rows = plan.evaluate(manager);
     Ok(RelationResult {
         columns: plan.columns,
         rows,
@@ -437,7 +498,7 @@ pub fn install_continuous(
                 let Some(mgr) = weak.upgrade() else {
                     return MetadataValue::Unavailable;
                 };
-                let rows = plan.evaluate(mgr.catalog_rows(plan.relation));
+                let rows = plan.evaluate(&mgr);
                 let value = if aggregate {
                     rows.first()
                         .and_then(|r| r.first())
@@ -479,4 +540,73 @@ fn digest(rows: &[Vec<MetadataValue>]) -> String {
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicUsize;
+    use streammeta_core::{NodeId, RingBufferSink, TraceRecord, TraceSink};
+    use streammeta_time::VirtualClock;
+
+    /// A trace sink with no ring that counts how often one is looked
+    /// for: once per snapshot of `sys.trace`.
+    #[derive(Default)]
+    struct CountLookups(AtomicUsize);
+
+    impl TraceSink for CountLookups {
+        fn record(&self, _record: TraceRecord) {}
+
+        fn ring(&self) -> Option<&RingBufferSink> {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            None
+        }
+    }
+
+    #[test]
+    fn a_poll_takes_one_snapshot_however_far_the_clock_jumped() {
+        let clock = VirtualClock::shared();
+        let manager = MetadataManager::new(clock.clone());
+        let reg = NodeRegistry::new(NodeId(1));
+        reg.define(ItemDef::static_value("size", 8u64));
+        manager.attach_node(reg);
+        let _size = manager
+            .subscribe(MetadataKey::new(NodeId(1), "size"))
+            .unwrap();
+        let lookups = Arc::new(CountLookups::default());
+        manager.set_trace_sink(Some(lookups.clone()));
+
+        let mut empty = CatalogSource::new(&manager, SystemRelation::Trace, TimeSpan(1));
+        let mut items = CatalogSource::new(&manager, SystemRelation::Items, TimeSpan(1));
+        // The boundary at the start, then a million more in one step.
+        assert!(empty.next_element().is_none());
+        assert_eq!(
+            items.next_element().map(|e| e.timestamp),
+            Some(Timestamp(0))
+        );
+        assert!(items.next_element().is_none());
+        assert_eq!(lookups.0.swap(0, Ordering::Relaxed), 1);
+        clock.advance(TimeSpan(1_000_000));
+
+        // An empty relation: one look, not one per boundary skipped.
+        assert!(empty.next_element().is_none());
+        assert_eq!(lookups.0.load(Ordering::Relaxed), 1);
+        // A relation with a row: one batch, stamped with the boundary
+        // reached, not a replay of every one skipped.
+        let batch: Vec<Element> = std::iter::from_fn(|| items.next_element()).collect();
+        assert_eq!(batch.len(), 1);
+        assert_eq!(batch[0].timestamp, Timestamp(1_000_000));
+        // Within the same refresh interval neither source looks again.
+        assert!(empty.next_element().is_none() && items.next_element().is_none());
+        assert_eq!(lookups.0.load(Ordering::Relaxed), 1);
+        // A refresh that does not divide the jump stamps the boundary
+        // before now and resumes on the grid.
+        let mut coarse = CatalogSource::new(&manager, SystemRelation::Items, TimeSpan(300));
+        clock.advance(TimeSpan(1_000));
+        assert_eq!(
+            coarse.next_element().map(|e| e.timestamp),
+            Some(Timestamp(1_000_900))
+        );
+        assert_eq!(coarse.next_at, Timestamp(1_001_200));
+    }
 }

@@ -11,8 +11,8 @@ use streammeta_core::{
     ItemDef, MetadataKey, MetadataManager, MetadataValue, NodeId, NodeRegistry, CATALOG_NODE,
 };
 use streammeta_cql::{
-    attach_system, install, install_continuous, query_once, register_system_sources,
-    relation_schema, Catalog, CqlError,
+    attach_system, install, install_continuous, query_once, register_system_sources, Catalog,
+    CqlError,
 };
 use streammeta_engine::VirtualEngine;
 use streammeta_graph::QueryGraph;
@@ -148,22 +148,6 @@ fn one_shot_queries_report_relation_errors() {
 // ---------------------------------------------------------------------
 // Relation column resolution + one-shot snapshots
 // ---------------------------------------------------------------------
-
-#[test]
-fn relation_schemas_cover_all_columns() {
-    for rel in streammeta_core::SystemRelation::ALL {
-        let schema = relation_schema(rel);
-        assert_eq!(schema.arity(), rel.columns().len(), "{}", rel.name());
-        for c in rel.columns() {
-            assert!(
-                schema.index_of(c.name).is_some(),
-                "{} lacks {}",
-                rel.name(),
-                c.name
-            );
-        }
-    }
-}
 
 #[test]
 fn one_shot_queries_resolve_relation_columns() {
