@@ -39,7 +39,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use streammeta_core::{MetadataKey, NodeId, SpanContext, TraceEvent, TraceRecord};
+use streammeta_core::{TraceEvent, TraceKind as Kind, TraceRecord};
 use streammeta_time::{TimeSpan, Timestamp};
 
 /// The invariant rules of the trace linter.
@@ -182,8 +182,8 @@ pub fn lint(records: &[TraceRecord]) -> Vec<TraceViolation> {
             let ctx = r.span.as_ref()?;
             let anchored = ctx.parent.is_none()
                 && matches!(
-                    r.event.kind(),
-                    "source_update" | "subscribe" | "periodic_fired" | "epoch_flushed"
+                    r.event.tag(),
+                    Kind::SourceUpdate | Kind::Subscribe | Kind::PeriodicFired | Kind::EpochFlushed
                 );
             anchored.then_some(ctx.span)
         })
@@ -481,8 +481,9 @@ pub fn lint(records: &[TraceRecord]) -> Vec<TraceViolation> {
 
 /// Parses a JSONL export (as produced by
 /// [`TraceRecord::to_json`](streammeta_core::TraceRecord::to_json) /
-/// `RingBufferSink::to_jsonl`) back into records. Returns the 1-based
-/// line number and a description on the first malformed line.
+/// `RingBufferSink::to_jsonl`) back into records, line by line through
+/// its inverse [`TraceRecord::from_json`]. Returns the 1-based line
+/// number and a description on the first malformed line.
 pub fn parse_jsonl(input: &str) -> Result<Vec<TraceRecord>, String> {
     let mut out = Vec::new();
     for (idx, line) in input.lines().enumerate() {
@@ -490,301 +491,9 @@ pub fn parse_jsonl(input: &str) -> Result<Vec<TraceRecord>, String> {
         if line.is_empty() {
             continue;
         }
-        out.push(parse_line(line).map_err(|e| format!("line {}: {e}", idx + 1))?);
+        out.push(TraceRecord::from_json(line).map_err(|e| format!("line {}: {e}", idx + 1))?);
     }
     Ok(out)
-}
-
-/// One scalar JSON value of the flat trace schema.
-enum JsonVal {
-    Num(u64),
-    Str(String),
-    Bool(bool),
-}
-
-impl JsonVal {
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonVal::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonVal::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-    fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonVal::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one flat JSON object (string/number/bool values only — the
-/// trace schema is flat by construction).
-fn parse_flat_object(line: &str) -> Result<HashMap<String, JsonVal>, String> {
-    let bytes = line.as_bytes();
-    if !line.starts_with('{') || !line.ends_with('}') {
-        return Err("not a JSON object".to_string());
-    }
-    let mut map = HashMap::new();
-    let mut i = 1usize;
-    let end = bytes.len() - 1;
-    loop {
-        while i < end && (bytes[i] == b',' || bytes[i].is_ascii_whitespace()) {
-            i += 1;
-        }
-        if i >= end {
-            break;
-        }
-        if bytes[i] != b'"' {
-            return Err(format!("expected key quote at byte {i}"));
-        }
-        let (key, next) = parse_string(line, i)?;
-        i = next;
-        while i < end && bytes[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        if i >= end || bytes[i] != b':' {
-            return Err(format!("expected ':' at byte {i}"));
-        }
-        i += 1;
-        while i < end && bytes[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        let val = if i < end && bytes[i] == b'"' {
-            let (s, next) = parse_string(line, i)?;
-            i = next;
-            JsonVal::Str(s)
-        } else if line[i..].starts_with("true") {
-            i += 4;
-            JsonVal::Bool(true)
-        } else if line[i..].starts_with("false") {
-            i += 5;
-            JsonVal::Bool(false)
-        } else {
-            let start = i;
-            while i < end && (bytes[i].is_ascii_digit() || bytes[i] == b'-') {
-                i += 1;
-            }
-            let n: u64 = line[start..i]
-                .parse()
-                .map_err(|_| format!("bad number at byte {start}"))?;
-            JsonVal::Num(n)
-        };
-        map.insert(key, val);
-    }
-    Ok(map)
-}
-
-/// Parses a quoted JSON string starting at `start` (which must index a
-/// `"`), returning the unescaped content and the index past the closing
-/// quote.
-fn parse_string(line: &str, start: usize) -> Result<(String, usize), String> {
-    let bytes = line.as_bytes();
-    let mut out = String::new();
-    let mut i = start + 1;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'"' => return Ok((out, i + 1)),
-            b'\\' => {
-                i += 1;
-                match bytes.get(i) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'u') => {
-                        let hex = line
-                            .get(i + 1..i + 5)
-                            .ok_or_else(|| "truncated \\u escape".to_string())?;
-                        let cp = u32::from_str_radix(hex, 16)
-                            .map_err(|_| "bad \\u escape".to_string())?;
-                        out.push(char::from_u32(cp).unwrap_or('\u{FFFD}'));
-                        i += 4;
-                    }
-                    _ => return Err("bad escape".to_string()),
-                }
-                i += 1;
-            }
-            _ => {
-                // Multi-byte UTF-8: copy the whole char.
-                let ch = line[i..].chars().next().unwrap();
-                out.push(ch);
-                i += ch.len_utf8();
-            }
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-/// Parses the `n<node>/<path>` display form of a [`MetadataKey`].
-fn parse_key(s: &str) -> Result<MetadataKey, String> {
-    let rest = s
-        .strip_prefix('n')
-        .ok_or_else(|| format!("key `{s}` missing `n` prefix"))?;
-    let slash = rest
-        .find('/')
-        .ok_or_else(|| format!("key `{s}` missing `/`"))?;
-    let node: u32 = rest[..slash]
-        .parse()
-        .map_err(|_| format!("key `{s}` has a non-numeric node id"))?;
-    Ok(MetadataKey::new(NodeId(node), &rest[slash + 1..]))
-}
-
-fn parse_line(line: &str) -> Result<TraceRecord, String> {
-    let map = parse_flat_object(line)?;
-    let field_u64 = |name: &str| -> Result<u64, String> {
-        map.get(name)
-            .and_then(JsonVal::as_u64)
-            .ok_or_else(|| format!("missing numeric field `{name}`"))
-    };
-    let field_bool = |name: &str| -> Result<bool, String> {
-        map.get(name)
-            .and_then(JsonVal::as_bool)
-            .ok_or_else(|| format!("missing boolean field `{name}`"))
-    };
-    let key = || -> Result<MetadataKey, String> {
-        parse_key(
-            map.get("key")
-                .and_then(JsonVal::as_str)
-                .ok_or_else(|| "missing field `key`".to_string())?,
-        )
-    };
-    let kind = map
-        .get("event")
-        .and_then(JsonVal::as_str)
-        .ok_or_else(|| "missing field `event`".to_string())?;
-    let event = match kind {
-        "subscribe" => TraceEvent::Subscribe { key: key()? },
-        "unsubscribe" => TraceEvent::Unsubscribe { key: key()? },
-        "include" => TraceEvent::Include {
-            key: key()?,
-            mechanism: mechanism_label(
-                map.get("mechanism")
-                    .and_then(JsonVal::as_str)
-                    .ok_or_else(|| "missing field `mechanism`".to_string())?,
-            )?,
-            depth: field_u64("depth")? as usize,
-        },
-        "exclude" => TraceEvent::Exclude {
-            key: key()?,
-            remaining: field_u64("remaining")? as usize,
-        },
-        "propagation_step" => TraceEvent::PropagationStep {
-            round: field_u64("round")?,
-            key: key()?,
-            depth: field_u64("depth")? as usize,
-            changed: field_bool("changed")?,
-        },
-        "periodic_fired" => TraceEvent::PeriodicFired {
-            key: key()?,
-            boundary: Timestamp(field_u64("boundary")?),
-            fired_at: Timestamp(field_u64("fired_at")?),
-            missed: field_bool("missed")?,
-        },
-        "compute_failed" => TraceEvent::ComputeFailed { key: key()? },
-        "deadline_exceeded" => TraceEvent::DeadlineExceeded {
-            key: key()?,
-            budget: TimeSpan(field_u64("budget")?),
-            elapsed: TimeSpan(field_u64("elapsed")?),
-        },
-        "retry_scheduled" => TraceEvent::RetryScheduled {
-            key: key()?,
-            attempt: field_u64("attempt")? as u32,
-            delay: TimeSpan(field_u64("delay")?),
-        },
-        "quarantine_tripped" => TraceEvent::QuarantineTripped {
-            key: key()?,
-            until: Timestamp(field_u64("until")?),
-        },
-        "quarantine_recovered" => TraceEvent::QuarantineRecovered { key: key()? },
-        "value_stored" => TraceEvent::ValueStored {
-            key: key()?,
-            version: field_u64("version")?,
-        },
-        "epoch_flushed" => TraceEvent::EpochFlushed {
-            epoch: field_u64("epoch")?,
-            origins: field_u64("origins")? as usize,
-            recomputed: field_u64("recomputed")? as usize,
-            max_depth: field_u64("max_depth")? as usize,
-        },
-        "source_update" => TraceEvent::SourceUpdate {
-            origin: map
-                .get("origin")
-                .and_then(JsonVal::as_str)
-                .ok_or_else(|| "missing field `origin`".to_string())?
-                .to_string(),
-            origin_kind: origin_kind_label(
-                map.get("origin_kind")
-                    .and_then(JsonVal::as_str)
-                    .ok_or_else(|| "missing field `origin_kind`".to_string())?,
-            )?,
-        },
-        "notified" => TraceEvent::Notified {
-            key: key()?,
-            version: field_u64("version")?,
-            observers: field_u64("observers")? as usize,
-        },
-        other => return Err(format!("unknown event kind `{other}`")),
-    };
-    // Lineage fields ride on any event kind; `span` marks their
-    // presence, `roots` is string-encoded ("1,4") to keep the JSONL
-    // dialect flat.
-    let span = match map.get("span").and_then(JsonVal::as_u64) {
-        Some(id) => {
-            let roots_str = map
-                .get("roots")
-                .and_then(JsonVal::as_str)
-                .ok_or_else(|| "missing field `roots`".to_string())?;
-            let mut roots = Vec::new();
-            for part in roots_str.split(',').filter(|p| !p.is_empty()) {
-                roots.push(part.parse().map_err(|_| format!("bad root id `{part}`"))?);
-            }
-            Some(SpanContext {
-                span: id,
-                parent: map.get("parent").and_then(JsonVal::as_u64),
-                roots,
-                depth: field_u64("span_depth")? as u32,
-                start: Timestamp(field_u64("span_start")?),
-            })
-        }
-        None => None,
-    };
-    Ok(TraceRecord {
-        seq: field_u64("seq")?,
-        at: Timestamp(field_u64("at")?),
-        event,
-        span,
-        tid: map.get("tid").and_then(JsonVal::as_u64),
-        part: map.get("part").and_then(JsonVal::as_u64),
-    })
-}
-
-/// Maps a parsed origin kind back to the static string
-/// [`TraceEvent::SourceUpdate`] carries.
-fn origin_kind_label(s: &str) -> Result<&'static str, String> {
-    Ok(match s {
-        "item" => "item",
-        "event" => "event",
-        other => return Err(format!("unknown origin kind `{other}`")),
-    })
-}
-
-/// Maps a parsed mechanism label back to the static string the enum
-/// variants carry (the trace emits only the four `Mechanism::label`s).
-fn mechanism_label(s: &str) -> Result<&'static str, String> {
-    Ok(match s {
-        "static" => "static",
-        "on-demand" => "on-demand",
-        "periodic" => "periodic",
-        "triggered" => "triggered",
-        other => return Err(format!("unknown mechanism `{other}`")),
-    })
 }
 
 /// Merges per-partition trace streams into one lintable stream, ordered
@@ -820,6 +529,7 @@ pub fn lint_jsonl(input: &str) -> Vec<TraceViolation> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use streammeta_core::{MetadataKey, NodeId, SpanContext};
 
     fn key(path: &str) -> MetadataKey {
         MetadataKey::new(NodeId(1), path)
@@ -1228,136 +938,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_round_trips_through_the_parser() {
-        let records = vec![
-            rec(
-                0,
-                0,
-                TraceEvent::Include {
-                    key: key("rate"),
-                    mechanism: "periodic",
-                    depth: 2,
-                },
-            ),
-            rec(
-                1,
-                5,
-                TraceEvent::PropagationStep {
-                    round: 3,
-                    key: key("cost"),
-                    depth: 1,
-                    changed: true,
-                },
-            ),
-            rec(
-                2,
-                9,
-                TraceEvent::PeriodicFired {
-                    key: key("rate"),
-                    boundary: Timestamp(10),
-                    fired_at: Timestamp(11),
-                    missed: false,
-                },
-            ),
-            rec(
-                3,
-                12,
-                TraceEvent::RetryScheduled {
-                    key: key("rate"),
-                    attempt: 2,
-                    delay: TimeSpan(8),
-                },
-            ),
-            rec(
-                4,
-                13,
-                TraceEvent::QuarantineTripped {
-                    key: key("rate"),
-                    until: Timestamp(99),
-                },
-            ),
-            rec(
-                5,
-                14,
-                TraceEvent::ValueStored {
-                    key: key("rate"),
-                    version: 7,
-                },
-            ),
-            rec(
-                6,
-                15,
-                TraceEvent::EpochFlushed {
-                    epoch: 4,
-                    origins: 2,
-                    recomputed: 6,
-                    max_depth: 3,
-                },
-            ),
-            rec(
-                7,
-                16,
-                TraceEvent::DeadlineExceeded {
-                    key: key("rate"),
-                    budget: TimeSpan(5),
-                    elapsed: TimeSpan(9),
-                },
-            ),
-            rec(
-                8,
-                17,
-                TraceEvent::Exclude {
-                    key: key("rate"),
-                    remaining: 1,
-                },
-            ),
-            rec(9, 18, TraceEvent::ComputeFailed { key: key("rate") }),
-            rec(10, 19, TraceEvent::QuarantineRecovered { key: key("rate") }),
-            rec(11, 20, TraceEvent::Unsubscribe { key: key("rate") }),
-            spanned(
-                rec(
-                    12,
-                    21,
-                    TraceEvent::SourceUpdate {
-                        origin: "n1/size".to_string(),
-                        origin_kind: "item",
-                    },
-                ),
-                SpanContext::root(3, Timestamp(21)),
-            ),
-            {
-                let mut r = spanned(
-                    rec(
-                        13,
-                        22,
-                        TraceEvent::Notified {
-                            key: key("cost"),
-                            version: 4,
-                            observers: 2,
-                        },
-                    ),
-                    SpanContext {
-                        span: 5,
-                        parent: Some(3),
-                        roots: vec![1, 3],
-                        depth: 2,
-                        start: Timestamp(21),
-                    },
-                );
-                r.tid = Some(7);
-                r.part = Some(2);
-                r
-            },
-        ];
-        let jsonl: String = records
-            .iter()
-            .map(|r| format!("{}\n", r.to_json()))
-            .collect();
-        let parsed = parse_jsonl(&jsonl).expect("round trip");
-        assert_eq!(parsed, records);
-    }
-
-    #[test]
     fn merged_partition_traces_keep_separate_lanes() {
         let tagged = |seq, at, part, event| {
             let mut r = rec(seq, at, event);
@@ -1495,11 +1075,42 @@ mod tests {
 
     #[test]
     fn malformed_lines_report_their_line_number() {
-        let err = parse_jsonl(
-            "{\"seq\":0,\"at\":0,\"event\":\"subscribe\",\"key\":\"n1/a\"}\nnot json\n",
-        )
-        .unwrap_err();
-        assert!(err.contains("line 2"), "{err}");
-        assert_eq!(codes(&lint_jsonl("nope")), ["T6"]);
+        let good = "{\"seq\":0,\"at\":0,\"event\":\"subscribe\",\"key\":\"n1/a\"}";
+        // Each defect the strict reader knows, on line 2 (blank lines
+        // count): the error names the line and the field, and the lint
+        // maps it to exactly one T6 violation.
+        let cases = [
+            ("not json", "not a JSON object"),
+            (
+                "{\"seq\":1,\"at\":0,\"event\":\"teleport\"}",
+                "unknown event kind `teleport`",
+            ),
+            (
+                "{\"seq\":1,\"at\":0,\"event\":\"exclude\",\"key\":\"n1/a\"}",
+                "missing field `remaining`",
+            ),
+            (
+                "{\"seq\":1,\"at\":0,\"event\":\"exclude\",\"key\":\"n1/a\",\"remaining\":true}",
+                "field `remaining` is not a valid usize",
+            ),
+            (
+                "{\"seq\":1,\"at\":0,\"event\":\"subscribe\",\"key\":\"n1/a\",\"remaining\":1}",
+                "kind `subscribe` declares no field `remaining`",
+            ),
+        ];
+        for (bad, expected) in cases {
+            let input = format!("{good}\n{bad}\n\n{good}\n");
+            assert_eq!(
+                parse_jsonl(&input).unwrap_err(),
+                format!("line 2: {expected}")
+            );
+            let got = lint_jsonl(&input);
+            assert_eq!(codes(&got), ["T6"]);
+            assert!(got[0].message.contains(expected), "{}", got[0].message);
+        }
+        assert_eq!(
+            parse_jsonl(&format!("{good}\n\n{good}\n")).unwrap().len(),
+            2
+        );
     }
 }

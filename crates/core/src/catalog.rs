@@ -304,18 +304,12 @@ pub(crate) struct Edge {
 /// what the inclusion actually reads.
 fn edges(h: &Handler) -> Vec<Edge> {
     let dependent = key_text(&h.key);
-    let edge = |source: &DepSource, role: &Arc<str>, certain| {
-        let (source, kind) = match source {
-            DepSource::Item(k) => (k.to_string(), "item"),
-            DepSource::Event(e) => (e.to_string(), "event"),
-        };
-        Edge {
-            source,
-            kind,
-            dependent: dependent.clone(),
-            role: role.clone(),
-            certain,
-        }
+    let edge = |source: &DepSource, role: &Arc<str>, certain| Edge {
+        source: source.to_string(),
+        kind: source.kind(),
+        dependent: dependent.clone(),
+        role: role.clone(),
+        certain,
     };
     let live: Vec<Edge> = h
         .resolved_deps
@@ -406,14 +400,8 @@ fn key_text(key: &MetadataKey) -> Arc<str> {
 /// every row.
 fn mechanism_cell(mechanism: Mechanism) -> MetadataValue {
     static LABELS: [OnceLock<Arc<str>>; 4] = [const { OnceLock::new() }; 4];
-    let slot = match mechanism {
-        Mechanism::Static => 0,
-        Mechanism::OnDemand => 1,
-        Mechanism::Periodic { .. } => 2,
-        Mechanism::Triggered => 3,
-    };
     Text(
-        LABELS[slot]
+        LABELS[mechanism.ordinal()]
             .get_or_init(|| Arc::from(mechanism.label()))
             .clone(),
     )
@@ -689,7 +677,7 @@ const SPANS_COLUMNS: &[RelationColumn] = &[
         "kind",
         "what the span covers (source_update, propagation_step, …)",
         Str,
-        |s, _| MetadataValue::text(s.span().kind),
+        |s, _| MetadataValue::text(s.span().kind.name()),
     ),
     col("depth", "hop depth below the root", Int, |s, _| {
         U64(s.span().depth as u64)
@@ -1344,7 +1332,7 @@ mod tests {
                                 s.key.as_ref().map_or(MetadataValue::Unavailable, |k| {
                                     MetadataValue::text(k.to_string())
                                 }),
-                                MetadataValue::text(s.kind),
+                                MetadataValue::text(s.kind.name()),
                                 MetadataValue::U64(s.depth as u64),
                                 MetadataValue::Time(s.start),
                                 MetadataValue::Time(s.end),

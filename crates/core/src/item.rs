@@ -40,14 +40,22 @@ pub enum Mechanism {
 }
 
 impl Mechanism {
+    /// Every [`Self::label`], in taxonomy order.
+    pub const LABELS: [&'static str; 4] = ["static", "on-demand", "periodic", "triggered"];
+
+    /// The mechanism's position in the taxonomy (0 = static).
+    pub(crate) fn ordinal(&self) -> usize {
+        match self {
+            Mechanism::Static => 0,
+            Mechanism::OnDemand => 1,
+            Mechanism::Periodic { .. } => 2,
+            Mechanism::Triggered => 3,
+        }
+    }
+
     /// Short label used in taxonomy listings.
     pub fn label(&self) -> &'static str {
-        match self {
-            Mechanism::Static => "static",
-            Mechanism::OnDemand => "on-demand",
-            Mechanism::Periodic { .. } => "periodic",
-            Mechanism::Triggered => "triggered",
-        }
+        Self::LABELS[self.ordinal()]
     }
 
     /// Whether the item is dynamic metadata (changes at runtime).
@@ -131,6 +139,29 @@ pub enum DepSource {
     Item(MetadataKey),
     /// A manual event notification.
     Event(EventKey),
+}
+
+impl DepSource {
+    /// Every [`Self::kind`].
+    pub const KINDS: [&'static str; 2] = ["item", "event"];
+
+    /// `"item"` or `"event"`.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            DepSource::Item(_) => Self::KINDS[0],
+            DepSource::Event(_) => Self::KINDS[1],
+        }
+    }
+}
+
+/// The source's key, as its item or event displays (`n1/rate`, `n1!tick`).
+impl std::fmt::Display for DepSource {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DepSource::Item(key) => key.fmt(f),
+            DepSource::Event(event) => event.fmt(f),
+        }
+    }
 }
 
 /// One declared dependency: a role name (how the compute function refers

@@ -110,7 +110,7 @@ pub use registry::{MetadataModule, NodeRegistry, RegistryScope};
 pub use subscription::Subscription;
 pub use sync::{lock_audit, LockEvent, LockTier};
 pub use trace::{
-    RingBufferSink, RotatingFileSink, SpanContext, SpanRecord, SpanSampling, SpanStore, TeeSink,
-    TraceEvent, TraceRecord, TraceSink,
+    trace_markdown, Ring, RingBufferSink, RotatingFileSink, SpanContext, SpanKind, SpanRecord,
+    SpanSampling, SpanStore, TeeSink, TraceEvent, TraceKind, TraceRecord, TraceSink,
 };
 pub use value::{MetadataValue, VersionedValue};

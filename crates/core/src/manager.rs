@@ -50,7 +50,8 @@ use crate::shards::HandlerShards;
 use crate::subscription::Subscription;
 use crate::sync::{LockTier, TieredMutex, TieredRwLock};
 use crate::trace::{
-    SpanContext, SpanRecord, SpanSampling, SpanStore, TraceEvent, TraceRecord, TraceSink,
+    SpanContext, SpanKind, SpanRecord, SpanSampling, SpanStore, TraceEvent, TraceKind, TraceRecord,
+    TraceSink,
 };
 use crate::{
     EventKey, ItemPath, MetadataError, MetadataKey, MetadataValue, NodeId, Result, VersionedValue,
@@ -198,7 +199,11 @@ pub struct MetadataManager {
     /// installed here.
     trace_enabled: AtomicBool,
     trace_sink: RwLock<Option<Arc<dyn TraceSink>>>,
-    trace_seq: AtomicU64,
+    /// The next record's sequence number, and the emission lock: held
+    /// from stamping `seq` and `at` until the sink has the record, so
+    /// records reach the sink in `seq` order with `at` non-decreasing. A
+    /// leaf — sinks never call back into the manager.
+    trace_seq: Mutex<u64>,
     /// Gates the per-compute latency measurement (two `Instant` reads per
     /// evaluation when on).
     profile_latency: AtomicBool,
@@ -208,10 +213,9 @@ pub struct MetadataManager {
     /// Violations reported by a `Warn`-policy validator, drained by
     /// [`Self::take_validation_warnings`].
     validation_warnings: Mutex<Vec<String>>,
-    /// Gates span minting the same way `trace_enabled` gates tracing:
-    /// one relaxed load per source update when sampling is off.
-    span_enabled: AtomicBool,
-    /// The `n` of [`SpanSampling::Ratio`] (0 = off).
+    /// The `n` of [`SpanSampling::Ratio`]; 0 = off. Gates span minting
+    /// the same way `trace_enabled` gates tracing: one relaxed load per
+    /// source update when sampling is off.
     span_ratio: AtomicU64,
     /// Source updates seen by the sampler (drives the 1-in-n decision).
     span_samples: AtomicU64,
@@ -287,11 +291,10 @@ impl MetadataManager {
             flush_serial: TieredMutex::new(LockTier::FlushSerial, ()),
             trace_enabled: AtomicBool::new(false),
             trace_sink: RwLock::new(None),
-            trace_seq: AtomicU64::new(0),
+            trace_seq: Mutex::new(0),
             profile_latency: AtomicBool::new(false),
             validator: RwLock::new(None),
             validation_warnings: Mutex::new(Vec::new()),
-            span_enabled: AtomicBool::new(false),
             span_ratio: AtomicU64::new(0),
             span_samples: AtomicU64::new(0),
             span_ids: AtomicU64::new(0),
@@ -347,17 +350,21 @@ impl MetadataManager {
         }
         let sink = self.trace_sink.read().clone();
         if let Some(sink) = sink {
+            let (event, span, tid) = (event(), span.cloned(), self.current_tid());
+            let part = match self.trace_part.load(Ordering::Relaxed) {
+                u64::MAX => None,
+                p => Some(p),
+            };
+            let mut seq = self.trace_seq.lock();
             sink.record(TraceRecord {
-                seq: self.trace_seq.fetch_add(1, Ordering::Relaxed),
+                seq: *seq,
                 at: self.clock.now(),
-                event: event(),
-                span: span.cloned(),
-                tid: self.current_tid(),
-                part: match self.trace_part.load(Ordering::Relaxed) {
-                    u64::MAX => None,
-                    p => Some(p),
-                },
+                event,
+                span,
+                tid,
+                part,
             });
+            *seq += 1;
         }
     }
 
@@ -384,7 +391,7 @@ impl MetadataManager {
         &self,
         ctx: &SpanContext,
         key: Option<&MetadataKey>,
-        kind: &'static str,
+        kind: impl Into<SpanKind>,
         end: Timestamp,
     ) {
         if let Some(store) = self.span_store.read().clone() {
@@ -394,7 +401,7 @@ impl MetadataManager {
                 root: ctx.roots.first().copied().unwrap_or(ctx.span),
                 roots: ctx.roots.len(),
                 key: key.cloned(),
-                kind,
+                kind: kind.into(),
                 depth: ctx.depth,
                 start: ctx.start,
                 end,
@@ -441,24 +448,18 @@ impl MetadataManager {
     /// (`Ratio(1)` = every update) and threads child spans through the
     /// entire propagation cascade that update causes.
     pub fn set_span_sampling(&self, sampling: SpanSampling) {
-        match sampling {
-            SpanSampling::Off => {
-                self.span_enabled.store(false, Ordering::Relaxed);
-                self.span_ratio.store(0, Ordering::Relaxed);
-            }
-            SpanSampling::Ratio(n) => {
-                self.span_ratio.store(n.max(1), Ordering::Relaxed);
-                self.span_enabled.store(true, Ordering::Relaxed);
-            }
-        }
+        let ratio = match sampling {
+            SpanSampling::Off => 0,
+            SpanSampling::Ratio(n) => n.max(1),
+        };
+        self.span_ratio.store(ratio, Ordering::Relaxed);
     }
 
     /// The currently configured span sampling.
     pub fn span_sampling(&self) -> SpanSampling {
-        if self.span_enabled.load(Ordering::Relaxed) {
-            SpanSampling::Ratio(self.span_ratio.load(Ordering::Relaxed).max(1))
-        } else {
-            SpanSampling::Off
+        match self.span_ratio.load(Ordering::Relaxed) {
+            0 => SpanSampling::Off,
+            n => SpanSampling::Ratio(n),
         }
     }
 
@@ -501,13 +502,12 @@ impl MetadataManager {
 
     /// One 1-in-n sampling decision per source update.
     fn sample_span(&self) -> bool {
-        if !self.span_enabled.load(Ordering::Relaxed) {
-            return false;
-        }
-        let n = self.span_ratio.load(Ordering::Relaxed).max(1);
-        self.span_samples
-            .fetch_add(1, Ordering::Relaxed)
-            .is_multiple_of(n)
+        let n = self.span_ratio.load(Ordering::Relaxed);
+        n != 0
+            && self
+                .span_samples
+                .fetch_add(1, Ordering::Relaxed)
+                .is_multiple_of(n)
     }
 
     /// Mints the next span id. Ids start at 1 — 0 encodes "no parent"
@@ -524,13 +524,9 @@ impl MetadataManager {
             return None;
         }
         let ctx = SpanContext::root(self.next_span_id(), now);
-        let (origin_str, origin_kind) = match origin {
-            DepSource::Item(k) => (format!("{k}"), "item"),
-            DepSource::Event(e) => (format!("{e}"), "event"),
-        };
         self.trace_span(Some(&ctx), || TraceEvent::SourceUpdate {
-            origin: origin_str,
-            origin_kind,
+            origin: origin.to_string(),
+            origin_kind: origin.kind(),
         });
         Some(ctx)
     }
@@ -774,7 +770,7 @@ impl MetadataManager {
             Ok(handler) => {
                 self.run_inclusion_actions(&created, root.as_ref());
                 if let Some(root) = &root {
-                    self.record_span(root, Some(&key), "subscribe", self.clock.now());
+                    self.record_span(root, Some(&key), TraceKind::Subscribe, self.clock.now());
                 }
                 Ok(Subscription::new(self.clone(), key, handler))
             }
@@ -914,7 +910,7 @@ impl MetadataManager {
         // DFS nesting is already carried by `depth`).
         let hop = root.map(|r| r.child(self.next_span_id(), self.clock.now()));
         if let Some(hop) = &hop {
-            self.record_span(hop, Some(&key), "include", self.clock.now());
+            self.record_span(hop, Some(&key), TraceKind::Include, self.clock.now());
         }
         self.trace_span(hop.as_ref(), || TraceEvent::Include {
             key: key.clone(),
@@ -1624,7 +1620,11 @@ impl MetadataManager {
             self.refresh_handler(&handler, None, now, ctx.as_ref())
         };
         if let Some(ctx) = &ctx {
-            let kind = if probe { "probe" } else { "retry" };
+            let kind = if probe {
+                SpanKind::PROBE
+            } else {
+                SpanKind::RETRY
+            };
             self.record_span(ctx, Some(key), kind, self.clock.now());
         }
         if changed {
@@ -1670,7 +1670,7 @@ impl MetadataManager {
             self.slots.bump(Metric::DeadlineMisses);
         }
         if let Some(root) = &root {
-            self.record_span(root, Some(key), "periodic_fired", fired_at);
+            self.record_span(root, Some(key), TraceKind::PeriodicFired, fired_at);
         }
         self.trace_span(root.as_ref(), || TraceEvent::PeriodicFired {
             key: key.clone(),
@@ -1871,7 +1871,7 @@ impl MetadataManager {
         let stats = self.sweep(&origins, Some(epoch), seeds);
         drop(serial);
         if let Some(ctx) = &flush_span {
-            self.record_span(ctx, None, "epoch_flushed", self.clock.now());
+            self.record_span(ctx, None, TraceKind::EpochFlushed, self.clock.now());
         }
         self.trace_span(flush_span.as_ref(), || TraceEvent::EpochFlushed {
             epoch,
@@ -1896,7 +1896,12 @@ impl MetadataManager {
                     DepSource::Event(_) => None,
                 };
                 self.propagate_rooted(origin, now, Some(SpanLink::of(&root)));
-                self.record_span(&root, key.as_ref(), "source_update", self.clock.now());
+                self.record_span(
+                    &root,
+                    key.as_ref(),
+                    TraceKind::SourceUpdate,
+                    self.clock.now(),
+                );
             }
             None => self.propagate_rooted(origin, now, None),
         }
@@ -2054,7 +2059,7 @@ impl MetadataManager {
                 self.record_span(
                     ctx,
                     Some(&handler.key),
-                    "propagation_step",
+                    TraceKind::PropagationStep,
                     self.clock.now(),
                 );
             }

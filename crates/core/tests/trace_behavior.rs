@@ -3,13 +3,13 @@
 //! events, plus the JSONL export.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 
 use streammeta_core::{
     ItemDef, MetadataKey, MetadataManager, MetadataValue, Metric, NodeId, NodeRegistry,
     RingBufferSink, TraceEvent,
 };
-use streammeta_time::{Clock, TimeSpan, VirtualClock};
+use streammeta_time::{Clock, TimeSpan, Timestamp, VirtualClock};
 
 /// A three-item dependency chain `a -> b -> c` on node 0: `c` reads a
 /// shared cell on demand, `b` and `a` are triggered.
@@ -190,4 +190,71 @@ fn removing_the_sink_stops_emission() {
     assert!(!mgr.trace_enabled());
     let _sub = mgr.subscribe(key("a")).unwrap();
     assert!(sink.is_empty());
+}
+
+/// A clock whose first `now()` after arming stalls its caller: it
+/// reports that it is stalled, then waits to be released — or, when the
+/// releasing thread cannot get that far, until `STALL` has passed.
+struct StallingClock {
+    ticks: AtomicU64,
+    stall: Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>,
+}
+
+const STALL: std::time::Duration = std::time::Duration::from_millis(200);
+
+impl Clock for StallingClock {
+    fn now(&self) -> Timestamp {
+        let stall = self.stall.lock().unwrap().take();
+        if let Some((stalled, release)) = stall {
+            stalled.send(()).unwrap();
+            let _ = release.recv_timeout(STALL);
+        }
+        Timestamp(self.ticks.fetch_add(1, Ordering::SeqCst))
+    }
+}
+
+#[test]
+fn concurrent_emitters_reach_the_sink_in_seq_order() {
+    let clock = Arc::new(StallingClock {
+        ticks: AtomicU64::new(0),
+        stall: Mutex::new(None),
+    });
+    let mgr = MetadataManager::new(clock.clone());
+    let reg = NodeRegistry::new(NodeId(0));
+    reg.define(ItemDef::static_value("first", 1u64));
+    reg.define(ItemDef::static_value("second", 2u64));
+    mgr.attach_node(reg);
+    let sink = RingBufferSink::new(64);
+    mgr.set_trace_sink(Some(sink.clone()));
+
+    // The first emitter stalls inside the `now()` that stamps its first
+    // record. The second emitter starts only then, and releases the
+    // first once its own records are in the sink. Without the emission
+    // lock it gets there and overtakes: its records land before the
+    // first emitter's lower sequence number. With the lock it waits for
+    // the stalled record, the release never comes and the stall times out.
+    let (stalled_tx, stalled_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel();
+    *clock.stall.lock().unwrap() = Some((stalled_tx, release_rx));
+    std::thread::scope(|scope| {
+        scope.spawn(|| drop(mgr.subscribe(key("first")).unwrap()));
+        stalled_rx.recv().unwrap();
+        scope.spawn(|| {
+            drop(mgr.subscribe(key("second")).unwrap());
+            let _ = release_tx.send(());
+        });
+    });
+
+    let records = sink.snapshot();
+    assert!(records.len() >= 4, "both subscriptions were traced");
+    for pair in records.windows(2) {
+        assert!(
+            pair[0].seq < pair[1].seq && pair[0].at <= pair[1].at,
+            "out of order: seq {} at {} before seq {} at {}",
+            pair[0].seq,
+            pair[0].at,
+            pair[1].seq,
+            pair[1].at
+        );
+    }
 }
