@@ -12,42 +12,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use streammeta_bench::scenarios::wall_filter_query;
 use streammeta_bench::table::Table;
-use streammeta_core::{MetadataKey, MetadataManager};
+use streammeta_core::MetadataKey;
 use streammeta_engine::run_threaded;
-use streammeta_graph::{FilterPredicate, MetadataConfig, QueryGraph};
-use streammeta_streams::{ConstantRate, TupleGen};
-use streammeta_time::{Clock, TimeSpan, Timestamp, WallClock, WorkerPool};
+use streammeta_time::WorkerPool;
 
 fn run(readers: usize, workers: usize) -> (u64, u64, u64) {
-    let clock: Arc<dyn Clock> = WallClock::shared();
-    let manager = MetadataManager::new(clock.clone());
-    let graph = Arc::new(QueryGraph::with_config(
-        manager.clone(),
-        MetadataConfig {
-            rate_window: TimeSpan(10_000), // 10ms periodic windows
-        },
-    ));
-    // One element every 20us.
-    let src = graph.source(
-        "s",
-        Box::new(ConstantRate::new(
-            Timestamp(0),
-            TimeSpan(20),
-            TupleGen::Sequence,
-            1,
-        )),
-    );
-    let f = graph.filter(
-        "f",
-        src,
-        FilterPredicate::AttrLt {
-            col: 0,
-            bound: i64::MAX,
-        },
-        1,
-    );
-    let _sink = graph.sink_discard("k", f);
+    let (clock, manager, graph, f) = wall_filter_query();
     let pool = WorkerPool::start(manager.periodic().clone(), clock.clone(), 1);
     let rate = Arc::new(
         manager

@@ -11,27 +11,16 @@
 //! periodic rate; C = a coarse rate that another consumer may already
 //! maintain. The table shows which handlers exist in each situation.
 
-use std::sync::Arc;
-
+use streammeta_bench::harness::virtual_stack;
 use streammeta_bench::table::Table;
-use streammeta_core::{
-    DepTarget, Dependency, ItemDef, MetadataKey, MetadataManager, MetadataValue,
-};
+use streammeta_core::{DepTarget, Dependency, ItemDef, MetadataKey, MetadataValue};
 use streammeta_engine::VirtualEngine;
 use streammeta_graph::define_rate_item;
-use streammeta_graph::{MetadataConfig, QueryGraph};
 use streammeta_streams::{ConstantRate, TupleGen};
-use streammeta_time::{TimeSpan, Timestamp, VirtualClock};
+use streammeta_time::{TimeSpan, Timestamp};
 
 fn main() {
-    let clock = VirtualClock::shared();
-    let manager = MetadataManager::new(clock.clone());
-    let graph = Arc::new(QueryGraph::with_config(
-        manager.clone(),
-        MetadataConfig {
-            rate_window: TimeSpan(100),
-        },
-    ));
+    let (clock, manager, graph) = virtual_stack(100);
     let src = graph.source(
         "s",
         Box::new(ConstantRate::new(

@@ -10,12 +10,13 @@
 
 use std::sync::Arc;
 
+use streammeta_bench::harness::virtual_stack;
 use streammeta_bench::table::{f, Table};
 use streammeta_core::{MetadataKey, MetadataManager};
 use streammeta_engine::{
     ChainScheduler, FifoScheduler, RoundRobinScheduler, Scheduler, VirtualEngine,
 };
-use streammeta_graph::{FilterPredicate, MetadataConfig, QueryGraph, SelectivityHandle};
+use streammeta_graph::{FilterPredicate, QueryGraph, SelectivityHandle};
 use streammeta_streams::{Bursty, TupleGen};
 use streammeta_time::{TimeSpan, Timestamp, VirtualClock};
 
@@ -28,14 +29,7 @@ type ChainSetup = (
 );
 
 fn build() -> ChainSetup {
-    let clock = VirtualClock::shared();
-    let manager = MetadataManager::new(clock.clone());
-    let graph = Arc::new(QueryGraph::with_config(
-        manager.clone(),
-        MetadataConfig {
-            rate_window: TimeSpan(50),
-        },
-    ));
+    let (clock, manager, graph) = virtual_stack(50);
     let mut handles = Vec::new();
     let mut subs = Vec::new();
     for (tag, sel, seed) in [("a", 0.1f64, 1u64), ("b", 0.9, 2)] {

@@ -7,12 +7,13 @@
 //! probability to keep total usage (state + queues) near a byte budget.
 //! The timeline compares a run without shedding against the managed run.
 
+use streammeta_bench::harness::virtual_stack;
 use streammeta_bench::table::{f, Table};
 use streammeta_core::MetadataKey;
 use streammeta_engine::{LoadShedder, VirtualEngine};
-use streammeta_graph::{JoinPredicate, MetadataConfig, QueryGraph, StateImpl};
+use streammeta_graph::{JoinPredicate, StateImpl};
 use streammeta_streams::{ConstantRate, TupleGen};
-use streammeta_time::{TimeSpan, Timestamp, VirtualClock};
+use streammeta_time::{TimeSpan, Timestamp};
 
 struct Timeline {
     memory: Vec<f64>,
@@ -21,14 +22,7 @@ struct Timeline {
 }
 
 fn run(budget: Option<usize>) -> Timeline {
-    let clock = VirtualClock::shared();
-    let manager = streammeta_core::MetadataManager::new(clock.clone());
-    let graph = std::sync::Arc::new(QueryGraph::with_config(
-        manager.clone(),
-        MetadataConfig {
-            rate_window: TimeSpan(100),
-        },
-    ));
+    let (clock, manager, graph) = virtual_stack(100);
     let src = graph.source(
         "s",
         Box::new(ConstantRate::new(

@@ -8,23 +8,17 @@
 //! compared against the filter's *measured* selectivity — for a uniform
 //! and for a Zipf-skewed stream, across several predicate bounds.
 
+use streammeta_bench::harness::virtual_stack;
 use streammeta_bench::table::{f, Table};
-use streammeta_core::{MetadataKey, MetadataManager};
+use streammeta_core::MetadataKey;
 use streammeta_costmodel::{install_filter_selectivity_estimate, PredicateBound};
 use streammeta_engine::VirtualEngine;
-use streammeta_graph::{FilterPredicate, MetadataConfig, QueryGraph};
+use streammeta_graph::FilterPredicate;
 use streammeta_streams::{ConstantRate, TupleGen, Zipf};
-use streammeta_time::{TimeSpan, Timestamp, VirtualClock};
+use streammeta_time::{TimeSpan, Timestamp};
 
 fn run(skewed: bool, bound: i64) -> (f64, f64) {
-    let clock = VirtualClock::shared();
-    let manager = MetadataManager::new(clock.clone());
-    let graph = std::sync::Arc::new(QueryGraph::with_config(
-        manager.clone(),
-        MetadataConfig {
-            rate_window: TimeSpan(100),
-        },
-    ));
+    let (clock, manager, graph) = virtual_stack(100);
     let tuples = if skewed {
         TupleGen::ZipfInt(Zipf::new(100, 1.0))
     } else {

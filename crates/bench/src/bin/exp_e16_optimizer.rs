@@ -10,23 +10,17 @@
 //! usage before and after: the adapted plan processes the fast phase at a
 //! fraction of the nested-loops cost.
 
+use streammeta_bench::harness::virtual_stack;
 use streammeta_bench::table::{f, Table};
-use streammeta_core::{MetadataKey, MetadataManager};
+use streammeta_core::MetadataKey;
 use streammeta_costmodel::{install_cost_model, JoinImplOptimizer};
 use streammeta_engine::VirtualEngine;
-use streammeta_graph::{JoinPredicate, MetadataConfig, QueryGraph, StateImpl};
+use streammeta_graph::{JoinPredicate, StateImpl};
 use streammeta_streams::{Bursty, TupleGen};
-use streammeta_time::{TimeSpan, Timestamp, VirtualClock};
+use streammeta_time::{TimeSpan, Timestamp};
 
 fn run(adaptive: bool) -> Vec<(u64, String, f64)> {
-    let clock = VirtualClock::shared();
-    let manager = MetadataManager::new(clock.clone());
-    let graph = std::sync::Arc::new(QueryGraph::with_config(
-        manager.clone(),
-        MetadataConfig {
-            rate_window: TimeSpan(250),
-        },
-    ));
+    let (clock, manager, graph) = virtual_stack(250);
     // Slow phase (one element / 100 units) for 4000 units, then fast
     // (one / 2 units) for 4000 units, repeating. With 100-unit windows,
     // nested loops beat the hashing overhead while slow; hashing wins

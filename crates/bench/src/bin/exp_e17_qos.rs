@@ -9,22 +9,15 @@
 //! query absorbs the overload. The sinks' periodic `avg_latency` items
 //! provide the measurements.
 
+use streammeta_bench::harness::virtual_stack;
 use streammeta_bench::table::{f, Table};
-use streammeta_core::{MetadataKey, MetadataManager};
+use streammeta_core::MetadataKey;
 use streammeta_engine::{QosScheduler, VirtualEngine};
-use streammeta_graph::{MetadataConfig, QueryGraph};
 use streammeta_streams::{ConstantRate, TupleGen};
-use streammeta_time::{TimeSpan, Timestamp, VirtualClock};
+use streammeta_time::{TimeSpan, Timestamp};
 
 fn run(qos: bool) -> Vec<(u64, f64, f64)> {
-    let clock = VirtualClock::shared();
-    let manager = MetadataManager::new(clock.clone());
-    let graph = std::sync::Arc::new(QueryGraph::with_config(
-        manager.clone(),
-        MetadataConfig {
-            rate_window: TimeSpan(200),
-        },
-    ));
+    let (clock, manager, graph) = virtual_stack(200);
     let mut latencies = Vec::new();
     for (tag, prio, seed) in [("critical", 10u64, 1u64), ("best-effort", 1, 2)] {
         let src = graph.source(

@@ -7,45 +7,18 @@
 //! exported as CSV into `results/` and the final values are rendered in
 //! Prometheus text exposition format.
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use streammeta_core::{MetadataKey, MetadataManager, META_NODE};
+use streammeta_bench::harness;
+use streammeta_bench::scenarios::wall_filter_query;
+use streammeta_core::{MetadataKey, META_NODE};
 use streammeta_engine::{run_threaded_with, EngineProbes, ENGINE_NODE};
-use streammeta_graph::{FilterPredicate, MetadataConfig, QueryGraph};
 use streammeta_profiler::Recorder;
-use streammeta_streams::{ConstantRate, TupleGen};
-use streammeta_time::{Clock, TimeSpan, Timestamp, WallClock, WorkerPool};
+use streammeta_time::{TimeSpan, WorkerPool};
 
 fn main() {
     println!("E18 — reflexive observability on the threaded executor (500ms wall run)\n");
-    let clock: Arc<dyn Clock> = WallClock::shared();
-    let manager = MetadataManager::new(clock.clone());
-    let graph = Arc::new(QueryGraph::with_config(
-        manager.clone(),
-        MetadataConfig {
-            rate_window: TimeSpan(10_000), // 10ms periodic windows
-        },
-    ));
-    let src = graph.source(
-        "s",
-        Box::new(ConstantRate::new(
-            Timestamp(0),
-            TimeSpan(20), // one element every 20us
-            TupleGen::Sequence,
-            1,
-        )),
-    );
-    let f = graph.filter(
-        "f",
-        src,
-        FilterPredicate::AttrLt {
-            col: 0,
-            bound: i64::MAX,
-        },
-        1,
-    );
-    let _sink = graph.sink_discard("k", f);
+    let (clock, manager, graph, f) = wall_filter_query();
 
     // The engine publishes its own runtime state ...
     let probes = EngineProbes::new();
@@ -106,14 +79,8 @@ fn main() {
         csv.lines().count().saturating_sub(1),
         6
     );
-    let out_dir = std::env::var("RESULTS_DIR").unwrap_or_else(|_| "results".into());
-    let out_path = format!("{out_dir}/e18_observability.csv");
-    match std::fs::create_dir_all(&out_dir).and_then(|()| std::fs::write(&out_path, &csv)) {
-        Ok(()) => println!("CSV written to {out_path}\n"),
-        Err(e) => {
-            println!("could not write {out_dir}/ ({e}); CSV follows:\n{csv}\n");
-        }
-    }
+    harness::write_csv("e18_observability.csv", &csv);
+    println!();
 
     println!("Prometheus exposition of the final values:\n");
     print!("{}", recorder.render_prometheus());

@@ -16,13 +16,14 @@
 //! recorded in the same file and compared. Each configuration runs
 //! `E19_TRIALS` times (default 3) and the best trial is kept — a
 //! min-noise estimator, since scheduler interference on a shared host
-//! only ever subtracts throughput. `E19_QUICK=1` shortens the runs to a
+//! only ever subtracts throughput. `EXP_QUICK=1` shortens the runs to a
 //! CI smoke invocation.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use streammeta_bench::harness;
 use streammeta_bench::table::Table;
 use streammeta_core::{ItemDef, MetadataKey, MetadataManager, MetadataValue, NodeId, NodeRegistry};
 use streammeta_time::{Clock, WallClock};
@@ -71,7 +72,7 @@ fn run_readers(threads: usize, dur: Duration, read: impl Fn() + Sync) -> (u64, D
 }
 
 fn main() {
-    let quick = std::env::var("E19_QUICK").is_ok();
+    let quick = harness::quick();
     let millis: u64 = std::env::var("E19_MILLIS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -154,10 +155,10 @@ fn main() {
     }
 
     // Append tagged rows so baseline and sharded phases share one CSV.
-    let out_dir = std::env::var("RESULTS_DIR").unwrap_or_else(|_| "results".into());
-    let out_path = format!("{out_dir}/e19_read_contention.csv");
+    let out_dir = harness::results_dir();
+    let out_path = out_dir.join("e19_read_contention.csv");
     let mut csv = String::new();
-    if !std::path::Path::new(&out_path).exists() {
+    if !out_path.exists() {
         csv.push_str("phase,mode,threads,reads,elapsed_ms,reads_per_sec\n");
     }
     for m in &measurements {
@@ -179,7 +180,10 @@ fn main() {
             .and_then(|mut f| f.write_all(csv.as_bytes()))
     });
     match write {
-        Ok(()) => println!("\nCSV rows appended to {out_path}"),
-        Err(e) => println!("\ncould not write {out_path} ({e}); CSV follows:\n{csv}"),
+        Ok(()) => println!("\nCSV rows appended to {}", out_path.display()),
+        Err(e) => println!(
+            "\ncould not write {} ({e}); CSV follows:\n{csv}",
+            out_path.display()
+        ),
     }
 }

@@ -22,16 +22,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use streammeta_analyze::tracelint;
+use streammeta_bench::harness;
+use streammeta_bench::scenarios::wall_filter_query;
 use streammeta_core::{
     FallbackPolicy, FaultAction, FaultPlan, FaultSchedule, ItemDef, MetadataKey, MetadataManager,
-    MetadataValue, NodeId, NodeRegistry, RingBufferSink, RotatingFileSink, TeeSink, TraceEvent,
+    MetadataValue, NodeId, NodeRegistry, TraceEvent,
 };
 use streammeta_engine::run_threaded;
-use streammeta_graph::{FilterPredicate, MetadataConfig, QueryGraph};
 use streammeta_profiler::Recorder;
-use streammeta_streams::{ConstantRate, TupleGen};
-use streammeta_time::{Clock, TimeSpan, Timestamp, VirtualClock, WallClock, WorkerPool};
+use streammeta_time::{Clock, TimeSpan, VirtualClock, WorkerPool};
 
 const POLICY: FallbackPolicy = FallbackPolicy {
     max_retries: 2,
@@ -86,44 +85,37 @@ fn phase1_deterministic() {
     );
     manager.set_fault_plan(Some(plan.clone()));
 
-    let out_dir = std::env::var("RESULTS_DIR").unwrap_or_else(|_| "results".into());
-    let sink = RingBufferSink::new(8192);
-    let file_sink = std::fs::create_dir_all(&out_dir).ok().and_then(|()| {
-        RotatingFileSink::create(format!("{out_dir}/e20_trace.jsonl"), 8 << 20).ok()
-    });
-    // The in-memory ring feeds the in-process checks below; the rotating
-    // file is the JSONL CI re-lints with the `tracelint` binary.
-    match &file_sink {
-        Some(file) => manager.set_trace_sink(Some(TeeSink::new(vec![sink.clone(), file.clone()]))),
-        None => manager.set_trace_sink(Some(sink.clone())),
-    }
-    manager.install_meta_node(TimeSpan(50));
-
+    // The deterministic phase runs against a JSONL file sink; what it
+    // wrote is read back, linted T1–T8 and returned for the
+    // repeat-failure scan below. The sink stays installed, so the
+    // teardown at the end of this function lands in the file CI re-lints.
     let mut recorder = Recorder::new(manager.clone());
-    recorder.track_containment().expect("meta node installed");
-
-    let subs: Vec<_> = (0..10)
-        .map(|i| manager.subscribe(key(i)).expect("subscribe"))
-        .collect();
-
+    let mut subs = Vec::new();
     let mut degraded_reads = 0u64;
-    for _window in 0..60 {
-        clock.advance(TimeSpan(10));
-        manager.periodic().advance_to(clock.now());
-        for sub in &subs {
-            let v = sub.versioned();
-            // The containment invariant: fresh, or stale-marked last-good.
-            assert!(
-                v.value.is_available() || v.degraded,
-                "{}: neither available nor degraded: {v:?}",
-                sub.key()
-            );
-            if v.degraded {
-                degraded_reads += 1;
+    let records = harness::lint_trace(&harness::trace_path("e20"), |sink| {
+        manager.set_trace_sink(Some(sink));
+        manager.install_meta_node(TimeSpan(50));
+        recorder.track_containment().expect("meta node installed");
+        subs.extend((0..10).map(|i| manager.subscribe(key(i)).expect("subscribe")));
+
+        for _window in 0..60 {
+            clock.advance(TimeSpan(10));
+            manager.periodic().advance_to(clock.now());
+            for sub in &subs {
+                let v = sub.versioned();
+                // The containment invariant: fresh, or stale-marked last-good.
+                assert!(
+                    v.value.is_available() || v.degraded,
+                    "{}: neither available nor degraded: {v:?}",
+                    sub.key()
+                );
+                if v.degraded {
+                    degraded_reads += 1;
+                }
             }
+            recorder.sample();
         }
-        recorder.sample();
-    }
+    });
 
     let stats = manager.stats();
     println!("windows driven           60");
@@ -147,7 +139,6 @@ fn phase1_deterministic() {
     // further compute failure of that key may appear in the trace before
     // the cool-down ends (the probe at the cool-down boundary is the
     // first evaluation allowed to fail again).
-    let records = sink.snapshot();
     let mut repeat_failures = 0u64;
     for (i, r) in records.iter().enumerate() {
         if let TraceEvent::QuarantineTripped { key, until } = &r.event {
@@ -166,66 +157,15 @@ fn phase1_deterministic() {
     println!("unquarantined repeat-failures: {repeat_failures}");
     assert_eq!(repeat_failures, 0, "a quarantined item kept failing");
 
-    // The same trace must satisfy the replay invariants T1–T8. CI
-    // re-lints the written JSONL with the standalone `tracelint` binary;
-    // this in-process pass makes the experiment self-checking even when
-    // the file could not be written.
-    assert_eq!(sink.dropped(), 0, "trace ring wrapped; grow its capacity");
-    let violations = tracelint::lint(&records);
-    assert!(
-        violations.is_empty(),
-        "trace-replay invariants violated:\n{}",
-        violations
-            .iter()
-            .map(|v| format!("  {v}"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-    println!("trace records linted     {} (T1-T8 clean)", records.len());
-    if let Some(file) = &file_sink {
-        let _ = file.flush();
-        println!("trace JSONL              {}", file.path().display());
-    }
-
-    let csv = recorder.to_csv();
-    let out_path = format!("{out_dir}/e20_fault_injection.csv");
-    match std::fs::create_dir_all(&out_dir).and_then(|()| std::fs::write(&out_path, &csv)) {
-        Ok(()) => println!("\nCSV written to {out_path}"),
-        Err(e) => println!("\ncould not write {out_dir}/ ({e}); CSV follows:\n{csv}"),
-    }
+    println!();
+    harness::write_csv("e20_fault_injection.csv", &recorder.to_csv());
     println!("\nPrometheus exposition of the final values:\n");
     print!("{}", recorder.render_prometheus());
 }
 
 fn phase2_threaded() {
     println!("\n— phase 2: threaded executor under injected panics (200ms wall run) —\n");
-    let clock: Arc<dyn Clock> = WallClock::shared();
-    let manager = MetadataManager::new(clock.clone());
-    let graph = Arc::new(QueryGraph::with_config(
-        manager.clone(),
-        MetadataConfig {
-            rate_window: TimeSpan(10_000),
-        },
-    ));
-    let src = graph.source(
-        "s",
-        Box::new(ConstantRate::new(
-            Timestamp(0),
-            TimeSpan(20),
-            TupleGen::Sequence,
-            1,
-        )),
-    );
-    let f = graph.filter(
-        "f",
-        src,
-        FilterPredicate::AttrLt {
-            col: 0,
-            bound: i64::MAX,
-        },
-        1,
-    );
-    let _sink = graph.sink_discard("k", f);
+    let (clock, manager, graph, f) = wall_filter_query();
 
     // A contained periodic item on the filter node whose compute panics
     // every third evaluation.

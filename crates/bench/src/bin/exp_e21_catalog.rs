@@ -1,37 +1,37 @@
-//! E21: the queryable metadata catalog at scale.
+//! E21: the queryable metadata catalog at scale — a contract check.
 //!
 //! A 10k-item metadata graph (100 nodes × 100 periodic items, every item
-//! included, one deliberately slow item) is materialised through the
-//! `sys.*` system relations and queried three ways:
+//! included, one deliberately slow item) is read through the `sys.*`
+//! system relations three ways, and the run asserts that they agree:
 //!
-//! 1. **Snapshot cost** — wall-clock latency of `catalog_rows` (every
-//!    cell of every row) for each relation, with the row counts.
-//! 2. **One-shot queries** — `query_once` latency for a filtered
-//!    projection and an aggregate over `sys.handlers`. Both are scans
-//!    that build only the cells they read, so the run also reports how
-//!    much cheaper they are than the full `sys.handlers` snapshot and
-//!    asserts the floor CI gates on: `COUNT(*)`, which reads no cell,
-//!    is at least 5x cheaper (a ratio within one process, so machine
-//!    speed cancels).
-//! 3. **Continuous alert** — `SELECT key, p99 FROM sys.handlers WHERE
-//!    p99 > 1000000` installed via `install_continuous`; the run asserts
-//!    the alert fires through normal observer delivery and names the
-//!    slow item.
+//! 1. **Snapshots** — for every relation, `catalog_rows` (every cell of
+//!    every row) returns rows of exactly the declared arity, and as many
+//!    of them as `SELECT COUNT(*)` counts through the CQL scan path;
+//!    the per-item relations have one row per included handler.
+//! 2. **One-shot queries** — `SELECT key, p99 FROM sys.handlers WHERE
+//!    p99 > 1000000` singles out the slow item, and `COUNT(*)`, which
+//!    reads no cell, is at least 5x cheaper than the full `sys.handlers`
+//!    snapshot. That floor is a ratio of two timings taken in this
+//!    process, so machine speed cancels; it is the one place this
+//!    binary looks at a clock, and it prints no time.
+//! 3. **Continuous alert** — the same query installed via
+//!    `install_continuous` fires through normal observer delivery and
+//!    names the slow item.
 //!
-//! Latencies are the best of three runs. Refresh overhead is measured
-//! as wall time per periodic window in three configurations: plain (latency profiling only), trace bus
-//! enabled (the `trace_overhead` baseline), and trace plus the installed
-//! continuous catalog query. Results go to `$RESULTS_DIR/e21_catalog.csv`
-//! (metric,value) and `$RESULTS_DIR/BENCH_e21.json`.
+//! Only row counts and yes/no facts are printed, so the output is the
+//! same on every run. The catalog's costs are benchmark metrics
+//! (`control_plane` workload of `BENCHMARK.json`):
+//! `core.catalog.snapshot_us_per_krow`, `cql.query_once_us_p50`,
+//! `cql.continuous_refresh_us_p50`, `bench.self_time_frac.core.catalog`.
 
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use streammeta_bench::table::Table;
 use streammeta_core::{
-    ItemDef, MetadataKey, MetadataManager, MetadataValue, NodeId, NodeRegistry, RingBufferSink,
-    Subscription, SystemRelation,
+    ItemDef, MetadataKey, MetadataManager, MetadataValue, NodeId, NodeRegistry, Subscription,
+    SystemRelation,
 };
 use streammeta_cql::{attach_system, install_continuous, query_once, Catalog};
 use streammeta_profiler::render_relation;
@@ -40,8 +40,8 @@ use streammeta_time::{Clock, TimeSpan, VirtualClock};
 const NODES: u32 = 100;
 const ITEMS_PER_NODE: u32 = 100;
 const PERIOD: TimeSpan = TimeSpan(10);
-const WINDOWS: u32 = 10;
 const ALERT_QUERY: &str = "SELECT key, p99 FROM sys.handlers WHERE p99 > 1000000";
+const SLOW: &str = "n0/slow";
 
 fn build() -> (Arc<VirtualClock>, Arc<MetadataManager>, Vec<Subscription>) {
     let clock = VirtualClock::shared();
@@ -93,152 +93,103 @@ fn build() -> (Arc<VirtualClock>, Arc<MetadataManager>, Vec<Subscription>) {
     (clock, manager, subs)
 }
 
-/// The fastest of three runs of `f`, in µs, with the last result.
-fn best_of_three<T>(mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut run = || {
-        let start = Instant::now();
-        let out = f();
-        (start.elapsed().as_secs_f64() * 1e6, out)
-    };
-    let (mut best, mut out) = run();
-    for _ in 0..2 {
-        let (us, next) = run();
-        best = best.min(us);
-        out = next;
-    }
-    (best, out)
-}
-
-/// Wall time of `windows` periodic refresh windows, in µs per window.
-fn churn(clock: &Arc<VirtualClock>, manager: &Arc<MetadataManager>, windows: u32) -> f64 {
-    let start = Instant::now();
+/// Drives `windows` periodic refresh windows.
+fn churn(clock: &VirtualClock, manager: &MetadataManager, windows: u32) {
     for _ in 0..windows {
         clock.advance(PERIOD);
         manager.periodic().advance_to(clock.now());
     }
-    start.elapsed().as_micros() as f64 / windows as f64
+}
+
+fn names_slow(rows: &[Vec<MetadataValue>]) -> bool {
+    rows.iter().any(|r| r[0].as_text() == Some(SLOW))
 }
 
 fn main() {
     println!("E21 — queryable metadata catalog: sys.* relations + CQL over system state\n");
     let (clock, manager, subs) = build();
-    println!(
-        "graph: {} nodes x {} items = {} handlers included",
-        NODES,
-        ITEMS_PER_NODE,
-        manager.stats().handlers
-    );
-    assert!(manager.stats().handlers >= (NODES * ITEMS_PER_NODE) as usize);
+    let handlers = manager.handler_count();
+    println!("graph: {NODES} nodes x {ITEMS_PER_NODE} items = {handlers} handlers included");
+    assert_eq!(handlers, (NODES * ITEMS_PER_NODE + 1) as usize);
 
-    // Warm-up: two windows so every periodic item has latency samples.
+    // Two windows so every periodic item has latency samples.
     churn(&clock, &manager, 2);
-
-    let mut csv = String::from("metric,value\n");
-    let mut json = Vec::<(String, String)>::new();
-    let record = |csv: &mut String, json: &mut Vec<(String, String)>, k: &str, v: String| {
-        let _ = writeln!(csv, "{k},{v}");
-        json.push((k.to_string(), v));
-    };
-
-    // 1. Snapshot latency and row counts per relation.
-    println!("\n— relation snapshots —");
-    let mut handlers_snapshot_us = 0.0;
-    for rel in SystemRelation::ALL {
-        let (us, rows) = best_of_three(|| manager.catalog_rows(rel));
-        if rel == SystemRelation::Handlers {
-            handlers_snapshot_us = us;
-        }
-        let short = rel.name().trim_start_matches("sys.").to_string();
-        println!("{:<24} {:>7} rows  {:>9.1} us", rel.name(), rows.len(), us);
-        record(
-            &mut csv,
-            &mut json,
-            &format!("rows_{short}"),
-            rows.len().to_string(),
-        );
-        record(
-            &mut csv,
-            &mut json,
-            &format!("snapshot_us_{short}"),
-            format!("{us:.1}"),
-        );
-    }
-
-    // 2. One-shot CQL over the relations.
     let mut catalog = Catalog::new();
     attach_system(&mut catalog, manager.clone());
-    let (query_us, res) =
-        best_of_three(|| query_once(&catalog, ALERT_QUERY).expect("one-shot query"));
-    println!("\n— one-shot query: slow handlers (p99 > 1ms) —");
-    println!("{} matches in {query_us:.1} us", res.rows.len());
-    for r in &res.rows {
-        println!("  {}  p99={}", r[0], r[1]);
+    let count = |relation: &str| -> usize {
+        let res =
+            query_once(&catalog, &format!("SELECT COUNT(*) FROM {relation}")).expect("count query");
+        res.rows[0][0].as_f64().expect("a count") as usize
+    };
+
+    // 1. Every relation: declared arity, and the snapshot and the CQL
+    // scan see the same rows.
+    println!("\n— relation snapshots —");
+    let mut table = Table::new(&["relation", "columns", "rows", "COUNT(*)"]);
+    for rel in SystemRelation::ALL {
+        let rows = manager.catalog_rows(rel);
+        let arity = rel.columns().len();
+        assert!(
+            rows.iter().all(|r| r.len() == arity),
+            "{}: a row is not {arity} cells wide",
+            rel.name()
+        );
+        let counted = count(rel.name());
+        assert_eq!(rows.len(), counted, "{}: snapshot vs COUNT(*)", rel.name());
+        let expected = match rel {
+            SystemRelation::Items | SystemRelation::Handlers | SystemRelation::Subscriptions => {
+                handlers
+            }
+            // Every `m<i>` depends on its node's `base`.
+            SystemRelation::Dependencies => (NODES * (ITEMS_PER_NODE - 1)) as usize,
+            // No fallback policy, trace sink, span store or plane here.
+            _ => 0,
+        };
+        assert_eq!(rows.len(), expected, "{}: row count", rel.name());
+        table.row(vec![
+            rel.name().to_string(),
+            arity.to_string(),
+            rows.len().to_string(),
+            counted.to_string(),
+        ]);
     }
+    table.print();
+
+    // 2. One-shot CQL: the alert query finds the slow item, and a query
+    // that reads no cell is far cheaper than one that reads them all.
+    let res = query_once(&catalog, ALERT_QUERY).expect("one-shot query");
     assert!(
-        res.rows.iter().any(|r| r[0].as_text() == Some("n0/slow")),
+        names_slow(&res.rows),
         "slow item missing from one-shot matches"
     );
-    record(
-        &mut csv,
-        &mut json,
-        "query_once_us",
-        format!("{query_us:.1}"),
-    );
-    record(
-        &mut csv,
-        &mut json,
-        "query_once_matches",
-        res.rows.len().to_string(),
-    );
-
-    let (agg_us, count) =
-        best_of_three(|| query_once(&catalog, "SELECT COUNT(*) FROM sys.handlers").expect("count"));
-    record(&mut csv, &mut json, "aggregate_us", format!("{agg_us:.1}"));
-    println!(
-        "aggregate COUNT(*) over sys.handlers: {} in {agg_us:.1} us",
-        count.rows[0][0]
-    );
-    assert_eq!(
-        count.rows[0][0].as_f64(),
-        Some(manager.handler_count() as f64)
-    );
-
-    // What reading fewer cells buys over the full snapshot of the same
-    // relation, measured in this process.
-    let count_speedup = handlers_snapshot_us / agg_us;
-    let alert_speedup = handlers_snapshot_us / query_us;
-    println!("\n— pushdown: sys.handlers scans against its full snapshot —");
-    println!("full snapshot (13 cells of every row)  {handlers_snapshot_us:>9.1} us");
-    println!(
-        "alert query (p99 of every row)         {query_us:>9.1} us  ({alert_speedup:.1}x cheaper)"
-    );
-    println!(
-        "COUNT(*) (no cell)                     {agg_us:>9.1} us  ({count_speedup:.1}x cheaper)"
-    );
-    record(
-        &mut csv,
-        &mut json,
-        "count_speedup_vs_snapshot",
-        format!("{count_speedup:.1}"),
-    );
-    record(
-        &mut csv,
-        &mut json,
-        "alert_speedup_vs_snapshot",
-        format!("{alert_speedup:.1}"),
-    );
+    println!("\none-shot `{ALERT_QUERY}` names {SLOW}");
+    // The fastest of three runs each: one preempted run must not decide
+    // a ratio that is 30x on a quiet machine.
+    let fastest = |f: &dyn Fn()| {
+        (0..3)
+            .map(|_| {
+                let start = Instant::now();
+                f();
+                start.elapsed()
+            })
+            .min()
+            .expect("three runs")
+    };
+    let snapshot = fastest(&|| {
+        std::hint::black_box(manager.catalog_rows(SystemRelation::Handlers));
+    });
+    let counting = fastest(&|| {
+        std::hint::black_box(count("sys.handlers"));
+    });
     assert!(
-        count_speedup >= 5.0,
-        "COUNT(*) over sys.handlers took {agg_us:.1} us, the full snapshot {handlers_snapshot_us:.1} us: \
+        snapshot >= 5 * counting,
+        "COUNT(*) over sys.handlers took {counting:?}, the full snapshot {snapshot:?}: \
          a query that reads no cell must be at least 5x cheaper"
     );
+    println!("COUNT(*) over sys.handlers is at least 5x cheaper than its full snapshot");
 
-    // 3. Refresh overhead: plain vs trace bus vs trace + continuous query.
-    println!("\n— refresh overhead ({WINDOWS} windows per configuration) —");
-    let plain_us = churn(&clock, &manager, WINDOWS);
-    manager.set_trace_sink(Some(RingBufferSink::new(4096)));
-    let trace_us = churn(&clock, &manager, WINDOWS);
-
+    // 3. The continuous alert fires through normal observer delivery
+    // and names the slow item.
     let alert = install_continuous(&catalog, ALERT_QUERY, PERIOD).expect("install alert");
     let fired = Arc::new(AtomicU64::new(0));
     let observer = {
@@ -249,76 +200,16 @@ fn main() {
             })
             .expect("observe")
     };
-    let catalog_us = churn(&clock, &manager, WINDOWS);
-    let overhead = |with: f64| {
-        if plain_us > 0.0 {
-            (with - plain_us) / plain_us * 100.0
-        } else {
-            0.0
-        }
-    };
-    println!("plain                {plain_us:>10.1} us/window");
-    println!(
-        "trace bus            {trace_us:>10.1} us/window  ({:+.1}%)",
-        overhead(trace_us)
-    );
-    println!(
-        "trace + alert query  {catalog_us:>10.1} us/window  ({:+.1}%; ROADMAP 5(a) targets <25%)",
-        overhead(catalog_us)
-    );
-    record(
-        &mut csv,
-        &mut json,
-        "refresh_us_plain",
-        format!("{plain_us:.1}"),
-    );
-    record(
-        &mut csv,
-        &mut json,
-        "refresh_us_trace",
-        format!("{trace_us:.1}"),
-    );
-    record(
-        &mut csv,
-        &mut json,
-        "refresh_us_catalog",
-        format!("{catalog_us:.1}"),
-    );
-    record(
-        &mut csv,
-        &mut json,
-        "overhead_trace_pct",
-        format!("{:.2}", overhead(trace_us)),
-    );
-    record(
-        &mut csv,
-        &mut json,
-        "overhead_catalog_pct",
-        format!("{:.2}", overhead(catalog_us)),
-    );
-
-    // The alert fired through normal observer delivery and names the
-    // slow item.
-    let fires = fired.load(Ordering::SeqCst);
-    let matches = alert.matches();
-    println!(
-        "\nalert `{}` fired {} time(s); {} row(s) matched",
-        ALERT_QUERY,
-        fires,
-        matches.len()
-    );
-    assert!(fires > 0, "alert observer never fired");
+    churn(&clock, &manager, 10);
     assert!(
-        matches.iter().any(|r| r[0].as_text() == Some("n0/slow")),
+        fired.load(Ordering::SeqCst) > 0,
+        "alert observer never fired"
+    );
+    assert!(
+        names_slow(&alert.matches()),
         "slow item missing from alert matches"
     );
-    record(&mut csv, &mut json, "alert_fires", fires.to_string());
-    record(
-        &mut csv,
-        &mut json,
-        "alert_matches",
-        matches.len().to_string(),
-    );
+    println!("continuous alert fired through its observer and names {SLOW}");
     drop(observer);
 
     // A rendered quarantine snapshot demonstrates the dashboard path
@@ -330,24 +221,9 @@ fn main() {
             &manager.catalog_rows(SystemRelation::Quarantine)
         )
     );
-
     drop(subs);
-
-    let out_dir = std::env::var("RESULTS_DIR").unwrap_or_else(|_| "results".into());
-    let csv_path = format!("{out_dir}/e21_catalog.csv");
-    let mut json_text = String::from("{\n");
-    for (i, (k, v)) in json.iter().enumerate() {
-        let sep = if i + 1 == json.len() { "" } else { "," };
-        let _ = writeln!(json_text, "  \"{k}\": {v}{sep}");
-    }
-    json_text.push_str("}\n");
-    let json_path = format!("{out_dir}/BENCH_e21.json");
-    match std::fs::create_dir_all(&out_dir)
-        .and_then(|()| std::fs::write(&csv_path, &csv))
-        .and_then(|()| std::fs::write(&json_path, &json_text))
-    {
-        Ok(()) => println!("CSV written to {csv_path}\nJSON written to {json_path}"),
-        Err(e) => println!("could not write {out_dir}/ ({e}); CSV follows:\n{csv}"),
-    }
-    println!("\nE21 invariants held: all relations snapshot, one-shot and continuous CQL agree on the slow item.");
+    println!(
+        "E21 invariants held: every relation has its declared arity and the row count CQL \
+         counts, one-shot and continuous CQL agree on the slow item, COUNT(*) >= 5x cheaper."
+    );
 }

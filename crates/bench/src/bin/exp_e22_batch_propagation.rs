@@ -1,313 +1,101 @@
-//! E22: epoch-batched trigger propagation vs per-event sweeps.
+//! E22: epoch-batched trigger propagation — the work-reduction contract.
 //!
 //! One hot source event with `F` triggered dependents (fan-out F in
 //! {16, 64, 256}) takes `N` rapid-fire updates. Per-event mode sweeps
-//! the full fan-out on every update: N sweeps, N*F recomputes, N*F
-//! observer deliveries. Epoch mode enqueues each update and flushes
-//! every `BATCH` updates (the time-slice driver's job in a live
-//! executor): updates of the same source coalesce, so each dependent
-//! recomputes once per epoch instead of once per update.
+//! the full fan-out on every update: exactly `N·F` recomputes. Epoch
+//! mode enqueues each update and flushes every `BATCH` updates (the
+//! time-slice driver's job in a live executor): updates of the same
+//! source coalesce, so the same `N` updates cost exactly `⌈N/BATCH⌉·F`
+//! recomputes, in `⌈N/BATCH⌉` epochs, with all but one update per epoch
+//! coalesced, and every observer ends on the final value.
 //!
-//! The run measures wall-clock propagation throughput (updates/s) in
-//! both modes, the recompute counts (showing the coalescing dedup), and
-//! the manager's epoch/coalesced counters. Acceptance: epoch mode
-//! sustains >= 10x the per-event throughput at fan-out >= 64.
+//! Those counts are the contract and the whole output: they are the
+//! same on every run. What the reduction buys in updates per second is
+//! `ops_per_s` of the benchmark's `fanout_epoch` against
+//! `fanout_per_event` workload (`BENCHMARK.json`).
 //!
-//! `E22_QUICK=1` shrinks N for CI smoke runs and relaxes the assertion
-//! to "batch at least matches per-event". Results go to
-//! `$RESULTS_DIR/e22_batch_propagation.csv` (metric,value) and
-//! `$RESULTS_DIR/BENCH_e22.json`.
+//! A small traced replay of both modes is written to
+//! `$RESULTS_DIR/e22_trace.jsonl` and checked against the trace-replay
+//! invariants T1–T8. `EXP_QUICK=1` shrinks N for CI smoke runs.
 
-use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
-
-use streammeta_analyze::tracelint;
-use streammeta_core::{
-    EpochConfig, EventKey, ItemDef, MetadataKey, MetadataManager, MetadataValue, NodeId,
-    NodeRegistry, PropagationMode, RotatingFileSink, Subscription,
-};
-use streammeta_time::{TimeSpan, VirtualClock};
+use streammeta_bench::harness::{self, caller_flushed_epochs, fanout_dag, fire_ticks};
+use streammeta_bench::table::Table;
 
 const FANOUTS: &[usize] = &[16, 64, 256];
 /// Flush cadence in epoch mode: one epoch per BATCH updates.
 const BATCH: usize = 64;
 
-fn quick() -> bool {
-    std::env::var("E22_QUICK").is_ok_and(|v| v == "1")
-}
-
-/// A manager with one node carrying `fanout` triggered dependents of
-/// the event `tick`, each republishing the shared counter.
-fn build(fanout: usize) -> (Arc<MetadataManager>, Arc<AtomicU64>, Vec<Subscription>) {
-    let clock = VirtualClock::shared();
-    let manager = MetadataManager::new(clock);
-    let state = Arc::new(AtomicU64::new(0));
-    let reg = NodeRegistry::new(NodeId(1));
-    for i in 0..fanout {
-        let state = state.clone();
-        reg.define(
-            ItemDef::triggered(format!("dep{i}"))
-                .on_event("tick")
-                .compute(move |_| MetadataValue::U64(state.load(Ordering::Relaxed)))
-                .build(),
-        );
-    }
-    manager.attach_node(reg);
-    let subs = (0..fanout)
-        .map(|i| {
-            manager
-                .subscribe(MetadataKey::new(NodeId(1), format!("dep{i}")))
-                .expect("subscribe")
-        })
-        .collect();
-    (manager, state, subs)
-}
-
-struct ModeRun {
-    /// Updates propagated per wall-clock second.
-    updates_per_sec: f64,
-    /// Handler recomputes the N updates cost.
-    computes: u64,
-}
-
-/// Fires `updates` source updates in the manager's current mode; in
-/// epoch mode the caller-driven flush every `BATCH` updates stands in
-/// for the executor's time-slice driver.
-fn drive(
-    manager: &Arc<MetadataManager>,
-    state: &Arc<AtomicU64>,
-    updates: usize,
-    epoch_mode: bool,
-) -> ModeRun {
-    let event = EventKey::new(NodeId(1), "tick");
-    let computes_before = manager.stats().computes;
-    let start = Instant::now();
-    for i in 0..updates {
-        state.store(i as u64 + 1, Ordering::Relaxed);
-        manager.fire_event(event.clone());
-        if epoch_mode && (i + 1) % BATCH == 0 {
-            manager.flush_epoch();
-        }
-    }
-    if epoch_mode {
-        manager.flush_epoch();
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    ModeRun {
-        updates_per_sec: updates as f64 / elapsed.max(1e-9),
-        computes: manager.stats().computes - computes_before,
-    }
-}
-
-/// A small traced replay of both propagation modes: fan-out 8 runs the
-/// full per-event protocol, then two coalescing epochs, then tears its
-/// subscriptions down — written as JSONL for the CI `tracelint` pass and
-/// checked against the trace-replay invariants T1–T8 in-process. The
-/// measured runs above stay untraced; at 16k updates x 256 dependents
-/// the trace itself would dominate the timings.
-fn write_lint_trace(out_dir: &str) {
-    let trace_path = format!("{out_dir}/e22_trace.jsonl");
-    let file = match std::fs::create_dir_all(out_dir)
-        .ok()
-        .and_then(|()| RotatingFileSink::create(&trace_path, 8 << 20).ok())
-    {
-        Some(file) => file,
-        None => {
-            println!("could not create {trace_path}; skipping the trace-lint replay");
-            return;
-        }
-    };
-    let (manager, state, subs) = build(8);
-    manager.set_trace_sink(Some(file.clone()));
-
-    drive(&manager, &state, 4, false);
-    manager.set_propagation_mode(PropagationMode::Epoch(EpochConfig {
-        max_batch: usize::MAX,
-        max_delay: TimeSpan(u64::MAX),
-    }));
-    drive(&manager, &state, 2 * BATCH, true);
-    drop(subs); // unsubscribe + exclude close every per-key history
-
-    manager.set_trace_sink(None);
-    let _ = file.flush();
-    let jsonl = file.read_retained().expect("read back the written trace");
-    let violations = tracelint::lint_jsonl(&jsonl);
-    assert!(
-        violations.is_empty(),
-        "trace-replay invariants violated:\n{}",
-        violations
-            .iter()
-            .map(|v| format!("  {v}"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-    println!(
-        "\ntrace replay: {} records linted (T1-T8 clean), JSONL at {trace_path}",
-        file.records_written()
-    );
-}
-
 fn main() {
-    let quick = quick();
-    // Quick mode still needs passes long enough to ride out scheduler
-    // noise — E23's overhead gate reads this run's numbers.
+    let quick = harness::quick();
     let updates: usize = if quick { 4096 } else { 16384 };
     println!("E22 — epoch-batched trigger propagation vs per-event sweeps");
     println!(
-        "{} updates per mode, flush cadence {BATCH}{}\n",
-        updates,
+        "{updates} updates per mode, flush cadence {BATCH}{}\n",
         if quick { " (quick mode)" } else { "" }
     );
 
-    let mut csv = String::from("metric,value\n");
-    let mut json = Vec::<(String, String)>::new();
-    let record = |csv: &mut String, json: &mut Vec<(String, String)>, k: &str, v: String| {
-        let _ = writeln!(csv, "{k},{v}");
-        json.push((k.to_string(), v));
-    };
-
-    let mut speedup_at_64_plus = Vec::new();
-    println!(
-        "{:>8} {:>16} {:>16} {:>9} {:>12} {:>12}",
-        "fanout", "per-event up/s", "epoch up/s", "speedup", "pe computes", "ep computes"
-    );
+    let flushes = updates.div_ceil(BATCH) as u64;
+    let mut table = Table::new(&[
+        "fanout",
+        "per-event computes",
+        "epoch computes",
+        "epochs",
+        "coalesced updates",
+    ]);
     for &fanout in FANOUTS {
-        let (manager, state, subs) = build(fanout);
+        let (manager, state, subs) = fanout_dag(fanout);
 
-        // Warm-up, then the measured per-event run (the default mode).
-        // Best of three passes: E23 gates its span-off throughput
-        // against this number from another process, so both sides must
-        // use the same max-of-passes estimator — a single pass is
-        // hostage to frequency drift, not a property of the code.
-        drive(&manager, &state, updates / 8, false);
-        let per_event = (0..3)
-            .map(|_| drive(&manager, &state, updates, false))
-            .max_by(|a, b| a.updates_per_sec.total_cmp(&b.updates_per_sec))
-            .expect("three passes");
+        let start = manager.stats();
+        fire_ticks(&manager, &state, updates, None);
+        let per_event = manager.stats();
+        manager.set_propagation_mode(caller_flushed_epochs());
+        fire_ticks(&manager, &state, updates, Some(BATCH));
+        let epoch = manager.stats();
 
-        // Epoch mode: max_batch above the cadence so the explicit
-        // flush (the modelled time-slice driver) controls epoch size;
-        // same-origin updates coalesce in between.
-        manager.set_propagation_mode(PropagationMode::Epoch(EpochConfig {
-            max_batch: usize::MAX,
-            max_delay: TimeSpan(u64::MAX),
-        }));
-        drive(&manager, &state, updates / 8, true);
-        let before = manager.stats();
-        let epoch = drive(&manager, &state, updates, true);
-        let after = manager.stats();
-        let epochs = after.epochs - before.epochs;
-        let coalesced = after.coalesced_updates - before.coalesced_updates;
-
-        let speedup = epoch.updates_per_sec / per_event.updates_per_sec.max(1e-9);
-        println!(
-            "{:>8} {:>16.0} {:>16.0} {:>8.1}x {:>12} {:>12}",
-            fanout,
-            per_event.updates_per_sec,
-            epoch.updates_per_sec,
-            speedup,
-            per_event.computes,
-            epoch.computes
-        );
-
+        let per_event_computes = per_event.computes - start.computes;
+        let epoch_computes = epoch.computes - per_event.computes;
+        let epochs = epoch.epochs - per_event.epochs;
+        let coalesced = epoch.coalesced_updates - per_event.coalesced_updates;
         // Per-event: every update recomputes the whole fan-out. Epoch:
         // one recompute of the fan-out per flush.
-        assert_eq!(per_event.computes, (updates * fanout) as u64);
-        let flushes = updates.div_ceil(BATCH) as u64;
-        assert_eq!(epoch.computes, flushes * fanout as u64);
+        assert_eq!(per_event_computes, (updates * fanout) as u64);
+        assert_eq!(epoch_computes, flushes * fanout as u64);
         assert_eq!(epochs, flushes, "one epoch per flush cadence");
         assert_eq!(
             coalesced,
-            (updates as u64).saturating_sub(flushes),
+            updates as u64 - flushes,
             "all but one update per epoch coalesce"
         );
         // The last flush delivered the final value to every observer.
         for sub in &subs {
             assert_eq!(sub.get().as_u64(), Some(updates as u64));
         }
-
-        record(
-            &mut csv,
-            &mut json,
-            &format!("per_event_updates_per_sec_f{fanout}"),
-            format!("{:.0}", per_event.updates_per_sec),
-        );
-        record(
-            &mut csv,
-            &mut json,
-            &format!("epoch_updates_per_sec_f{fanout}"),
-            format!("{:.0}", epoch.updates_per_sec),
-        );
-        record(
-            &mut csv,
-            &mut json,
-            &format!("speedup_f{fanout}"),
-            format!("{speedup:.2}"),
-        );
-        record(
-            &mut csv,
-            &mut json,
-            &format!("per_event_computes_f{fanout}"),
-            per_event.computes.to_string(),
-        );
-        record(
-            &mut csv,
-            &mut json,
-            &format!("epoch_computes_f{fanout}"),
-            epoch.computes.to_string(),
-        );
-        record(
-            &mut csv,
-            &mut json,
-            &format!("epochs_f{fanout}"),
+        table.row(vec![
+            fanout.to_string(),
+            per_event_computes.to_string(),
+            epoch_computes.to_string(),
             epochs.to_string(),
-        );
-        record(
-            &mut csv,
-            &mut json,
-            &format!("coalesced_updates_f{fanout}"),
             coalesced.to_string(),
-        );
-        if fanout >= 64 {
-            speedup_at_64_plus.push((fanout, speedup));
-        }
+        ]);
     }
+    table.print();
+    println!();
 
-    // Acceptance: >= 10x propagation throughput at fan-out >= 64. Quick
-    // (smoke) runs on shared CI runners only assert batch >= per-event.
-    let floor = if quick { 1.0 } else { 10.0 };
-    for (fanout, speedup) in &speedup_at_64_plus {
-        assert!(
-            *speedup >= floor,
-            "epoch mode speedup {speedup:.2}x at fan-out {fanout} is below the {floor}x floor"
-        );
-    }
-    record(&mut csv, &mut json, "speedup_floor", format!("{floor:.1}"));
-    record(&mut csv, &mut json, "updates_per_mode", updates.to_string());
-    record(&mut csv, &mut json, "flush_cadence", BATCH.to_string());
+    // Fan-out 8 runs the per-event protocol, then two coalescing
+    // epochs, then tears its subscriptions down. The counted runs above
+    // stay untraced: 16k updates x 256 dependents is eight million
+    // records.
+    harness::lint_trace(&harness::trace_path("e22"), |sink| {
+        let (manager, state, subs) = fanout_dag(8);
+        manager.set_trace_sink(Some(sink));
+        fire_ticks(&manager, &state, 4, None);
+        manager.set_propagation_mode(caller_flushed_epochs());
+        fire_ticks(&manager, &state, 2 * BATCH, Some(BATCH));
+        drop(subs); // unsubscribe + exclude close every per-key history
+    });
 
-    let out_dir = std::env::var("RESULTS_DIR").unwrap_or_else(|_| "results".into());
-    write_lint_trace(&out_dir);
-
-    let csv_path = format!("{out_dir}/e22_batch_propagation.csv");
-    let mut json_text = String::from("{\n");
-    for (i, (k, v)) in json.iter().enumerate() {
-        let sep = if i + 1 == json.len() { "" } else { "," };
-        let _ = writeln!(json_text, "  \"{k}\": {v}{sep}");
-    }
-    json_text.push_str("}\n");
-    let json_path = format!("{out_dir}/BENCH_e22.json");
-    match std::fs::create_dir_all(&out_dir)
-        .and_then(|()| std::fs::write(&csv_path, &csv))
-        .and_then(|()| std::fs::write(&json_path, &json_text))
-    {
-        Ok(()) => println!("\nCSV written to {csv_path}\nJSON written to {json_path}"),
-        Err(e) => println!("could not write {out_dir}/ ({e}); CSV follows:\n{csv}"),
-    }
     println!(
-        "\nE22 invariants held: coalescing counts exact, every observer saw the final value, \
-         epoch speedup >= {floor}x at fan-out >= 64."
+        "\nE22 invariants held: N*F per-event and ceil(N/{BATCH})*F epoch recomputes, one epoch \
+         per flush, all but one update per epoch coalesced, every observer saw the final value."
     );
 }

@@ -1,5 +1,4 @@
-//! E24: partitioned-plane churn — cross-partition subscription latency,
-//! propagation fan-out, and partition-kill degradation.
+//! E24: partitioned-plane churn — the cross-partition contract.
 //!
 //! The workload shards ~100k metadata item definitions over 8
 //! in-process partitions behind the plane's consistent-hash router and
@@ -7,48 +6,44 @@
 //! one partition whose `dep_remote` target lives on another, resolved
 //! through the plane's proxy items and remote-subscription protocol.
 //!
-//! Phases:
-//!  1. *Include churn*: open every cross-partition subscription,
-//!     measuring per-subscription include latency (definition lookup,
-//!     transitive proxy inclusion, owner-side subscribe, link set-up).
+//! Phases, each ending in the assert it exists for:
+//!  1. *Include churn*: open every cross-partition subscription — one
+//!     proxy link per subscription.
 //!  2. *Propagation*: rounds of owner-side updates, pumped across the
-//!     partition channels; measures update throughput and the remote
-//!     fan-out (messages applied per fired source event).
+//!     partition channels — every updated mirror serves its owner's
+//!     current value.
 //!  3. *Partition kill/revive*: every proxy homed on a live partition
 //!     whose owner died must serve **fresh-or-degraded** — its last
 //!     good value marked degraded, never unavailable, never silently
 //!     stale — and recover after `revive` re-seeds the links.
-//!  4. *Exclude churn*: drop subscriptions, measuring per-subscription
-//!     exclude latency (cascade teardown and link release).
+//!  4. *Exclude churn*: drop subscriptions — each exclusion releases
+//!     its link, none is left after teardown.
 //!  5. *Traced determinism*: a small 8-partition run with every update
 //!     span-sampled writes per-partition traces, merges them with
-//!     `tracelint::merge_traces`, asserts rules T1–T8 clean (proxy
-//!     version monotonicity across the partition boundary included) and
-//!     exports `$RESULTS_DIR/e24_trace.jsonl` for offline linting.
+//!     `tracelint::merge_traces`, and the merged trace
+//!     (`$RESULTS_DIR/e24_trace.jsonl`) is T1–T8 clean, proxy version
+//!     monotonicity across the partition boundary included.
 //!
-//! `E24_QUICK=1` shrinks the workload for CI smoke runs. Results go to
-//! `$RESULTS_DIR/e24_partition_churn.csv` (metric,value) and
-//! `$RESULTS_DIR/BENCH_e24.json`.
+//! The hash ring is deterministic, so every printed count is the same on
+//! every run. Latencies and rates of the plane are benchmark metrics
+//! (`control_plane` workload of `BENCHMARK.json`): `core.include_us_*`,
+//! `core.exclude_us_*`, `core.partition.*`, `ops_per_s`.
+//! `EXP_QUICK=1` shrinks the workload for CI smoke runs.
 
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use streammeta_analyze::tracelint;
+use streammeta_bench::harness;
 use streammeta_core::{
     EventKey, ItemDef, MetadataKey, MetadataValue, NodeId, NodeRegistry, PartitionedMetadataPlane,
-    RingBufferSink, SpanSampling, Subscription,
+    RingBufferSink, SpanSampling, Subscription, TraceSink,
 };
 use streammeta_time::{Clock, TimeSpan, VirtualClock};
 
 const PARTITIONS: usize = 8;
 /// First node id of the dependent (mirror-hosting) nodes.
 const DEP_BASE: u32 = 2_000_000;
-
-fn quick() -> bool {
-    std::env::var("E24_QUICK").is_ok_and(|v| v == "1")
-}
 
 struct Workload {
     src_nodes: usize,
@@ -135,116 +130,99 @@ fn pair(plane: &PartitionedMetadataPlane, w: &Workload, j: usize) -> (usize, Met
     (src_node, src_key, dep)
 }
 
-fn percentile(sorted: &[u128], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
+/// Opens the j-th cross-partition subscription: defines the dependent's
+/// `mirror` of its remote source and subscribes to it on the dependent's
+/// home partition. `observed` attaches a no-op observer, so every mirror
+/// store emits a span-bearing notification (exercises T8 across
+/// partitions).
+fn open_link(plane: &PartitionedMetadataPlane, w: &Workload, j: usize, observed: bool) -> Link {
+    let (src_node, src_key, dep) = pair(plane, w, j);
+    let reg = NodeRegistry::new(NodeId(dep));
+    reg.define(
+        ItemDef::triggered("mirror")
+            .dep_remote("r", src_key.clone())
+            .compute(|ctx| ctx.dep("r"))
+            .build(),
+    );
+    plane.attach_node(reg);
+    let home = plane.owner_of(NodeId(dep));
+    let mirror = MetadataKey::new(NodeId(dep), "mirror");
+    let sub = if observed {
+        plane.partition(home).subscribe_with(mirror, |_| {})
+    } else {
+        plane.partition(home).subscribe(mirror)
+    };
+    Link {
+        sub: sub.expect("cross-partition subscribe"),
+        src_node,
+        owner: plane.owner_of(src_key.node),
+        src_key,
+        home,
     }
-    let i = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[i] as f64 / 1000.0 // ns -> us
 }
 
 /// The traced deterministic phase: a small 8-partition plane with every
 /// update span-sampled. Per-partition ring sinks are merged with
-/// `merge_traces`, linted T1–T8 (version monotonicity, span causality
-/// and lineage across the partition boundary), and the merged JSONL is
-/// exported for the offline `tracelint` binary.
-fn traced_phase(out_dir: &str) -> (usize, usize) {
-    let clock = VirtualClock::shared();
-    let plane = PartitionedMetadataPlane::new(clock.clone(), PARTITIONS);
-    let w = Workload {
-        src_nodes: 16,
-        items_per_node: 1,
-        subs: 16,
-        rounds: 6,
-        fires_per_round: 16,
-    };
-    let sinks: Vec<Arc<RingBufferSink>> = plane
-        .partitions()
-        .iter()
-        .map(|m| {
-            let sink = RingBufferSink::new(1 << 16);
-            m.set_span_sampling(SpanSampling::Ratio(1));
-            m.set_trace_sink(Some(sink.clone()));
-            sink
-        })
-        .collect();
-    let counters = build_sources(&plane, &w);
-    let mut links = Vec::new();
-    for j in 0..w.subs {
-        let (src_node, src_key, dep) = pair(&plane, &w, j);
-        let reg = NodeRegistry::new(NodeId(dep));
-        let k = src_key.clone();
-        reg.define(
-            ItemDef::triggered("mirror")
-                .dep_remote("r", k)
-                .compute(|ctx| ctx.dep("r"))
-                .build(),
-        );
-        plane.attach_node(reg);
-        // Observed subscriptions make every mirror store emit a
-        // span-bearing notification (exercises T8 across partitions).
-        let sub = plane
-            .partition(plane.owner_of(NodeId(dep)))
-            .subscribe_with(MetadataKey::new(NodeId(dep), "mirror"), |_| {})
-            .expect("traced subscribe");
-        links.push(Link {
-            home: plane.owner_of(NodeId(dep)),
-            owner: plane.owner_of(src_key.node),
-            sub,
-            src_node,
-            src_key,
-        });
-    }
-    // Deterministic rounds: owner-side stores at t, pumped at t+1, so a
-    // child span's record always follows its cross-partition parent in
-    // merged (timestamp) order.
-    for r in 1..=w.rounds as u64 {
-        for (n, c) in counters.iter().enumerate() {
-            c.store(r, Ordering::Relaxed);
-            plane.fire_event(EventKey::new(NodeId(n as u32), "bump"));
-        }
-        clock.advance(TimeSpan(1));
-        plane.tick(clock.now());
-        clock.advance(TimeSpan(1));
-    }
-    // Kill/revive one owner partition mid-trace: degradation, retries
-    // and recovery must all replay as legal T3/T4/T5 sequences.
-    let killed = links[0].owner;
-    plane.kill_partition(killed);
-    clock.advance(TimeSpan(10));
-    plane.tick(clock.now());
-    plane.revive_partition(killed);
-    clock.advance(TimeSpan(10));
-    plane.tick(clock.now());
-    drop(links);
-
-    let per_partition: Vec<Vec<streammeta_core::TraceRecord>> =
-        sinks.iter().map(|s| s.snapshot()).collect();
-    let merged = tracelint::merge_traces(&per_partition);
-    let violations = tracelint::lint(&merged);
-    assert!(
-        violations.is_empty(),
-        "merged multi-partition trace violates T1-T8:\n{}",
-        violations
+/// `merge_traces` into the exported file, which must lint T1–T8 clean
+/// (version monotonicity, span causality and lineage across the
+/// partition boundary).
+fn traced_phase() {
+    harness::lint_trace(&harness::trace_path("e24"), |file| {
+        let clock = VirtualClock::shared();
+        let plane = PartitionedMetadataPlane::new(clock.clone(), PARTITIONS);
+        let w = Workload {
+            src_nodes: 16,
+            items_per_node: 1,
+            subs: 16,
+            rounds: 6,
+            fires_per_round: 16,
+        };
+        let sinks: Vec<Arc<RingBufferSink>> = plane
+            .partitions()
             .iter()
-            .take(20)
-            .map(|v| format!("  {v}"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-    let jsonl: String = merged
-        .iter()
-        .map(|r| format!("{}\n", r.to_json()))
-        .collect();
-    let path = format!("{out_dir}/e24_trace.jsonl");
-    if let Err(e) = std::fs::create_dir_all(out_dir).and_then(|()| std::fs::write(&path, &jsonl)) {
-        println!("could not write {path} ({e})");
-    }
-    (merged.len(), violations.len())
+            .map(|m| {
+                let sink = RingBufferSink::new(1 << 16);
+                m.set_span_sampling(SpanSampling::Ratio(1));
+                m.set_trace_sink(Some(sink.clone()));
+                sink
+            })
+            .collect();
+        let counters = build_sources(&plane, &w);
+        let links: Vec<Link> = (0..w.subs)
+            .map(|j| open_link(&plane, &w, j, true))
+            .collect();
+        // Deterministic rounds: owner-side stores at t, pumped at t+1, so
+        // a child span's record always follows its cross-partition parent
+        // in merged (timestamp) order.
+        for r in 1..=w.rounds as u64 {
+            for (n, c) in counters.iter().enumerate() {
+                c.store(r, Ordering::Relaxed);
+                plane.fire_event(EventKey::new(NodeId(n as u32), "bump"));
+            }
+            clock.advance(TimeSpan(1));
+            plane.tick(clock.now());
+            clock.advance(TimeSpan(1));
+        }
+        // Kill/revive one owner partition mid-trace: degradation, retries
+        // and recovery must all replay as legal T3/T4/T5 sequences.
+        let killed = links[0].owner;
+        plane.kill_partition(killed);
+        clock.advance(TimeSpan(10));
+        plane.tick(clock.now());
+        plane.revive_partition(killed);
+        clock.advance(TimeSpan(10));
+        plane.tick(clock.now());
+        drop(links);
+
+        let per_partition: Vec<_> = sinks.iter().map(|s| s.snapshot()).collect();
+        for record in tracelint::merge_traces(&per_partition) {
+            file.record(record);
+        }
+    });
 }
 
 fn main() {
-    let quick = quick();
+    let quick = harness::quick();
     let w = Workload::new(quick);
     println!("E24 — partitioned-plane churn over {PARTITIONS} partitions");
     println!(
@@ -255,62 +233,20 @@ fn main() {
         if quick { " (quick mode)" } else { "" }
     );
 
-    let mut csv = String::from("metric,value\n");
-    let mut json = Vec::<(String, String)>::new();
-    let record = |csv: &mut String, json: &mut Vec<(String, String)>, k: &str, v: String| {
-        let _ = writeln!(csv, "{k},{v}");
-        json.push((k.to_string(), v));
-    };
-    let out_dir = std::env::var("RESULTS_DIR").unwrap_or_else(|_| "results".into());
-
-    let clock = VirtualClock::shared();
-    let plane = PartitionedMetadataPlane::new(clock.clone(), PARTITIONS);
-    let t0 = Instant::now();
+    let plane = PartitionedMetadataPlane::new(VirtualClock::shared(), PARTITIONS);
     let counters = build_sources(&plane, &w);
-    let build_ms = t0.elapsed().as_secs_f64() * 1000.0;
-    println!("built {} definitions in {build_ms:.0} ms", w.total_items());
 
     // Phase 1 — include churn.
-    let mut links: Vec<Link> = Vec::with_capacity(w.subs);
-    let mut include_ns: Vec<u128> = Vec::with_capacity(w.subs);
-    for j in 0..w.subs {
-        let (src_node, src_key, dep) = pair(&plane, &w, j);
-        let reg = NodeRegistry::new(NodeId(dep));
-        let k = src_key.clone();
-        reg.define(
-            ItemDef::triggered("mirror")
-                .dep_remote("r", k)
-                .compute(|ctx| ctx.dep("r"))
-                .build(),
-        );
-        plane.attach_node(reg);
-        let t = Instant::now();
-        let sub = plane
-            .subscribe(MetadataKey::new(NodeId(dep), "mirror"))
-            .expect("cross-partition subscribe");
-        include_ns.push(t.elapsed().as_nanos());
-        links.push(Link {
-            home: plane.owner_of(NodeId(dep)),
-            owner: plane.owner_of(src_key.node),
-            sub,
-            src_node,
-            src_key,
-        });
-    }
-    include_ns.sort_unstable();
+    let mut links: Vec<Link> = (0..w.subs)
+        .map(|j| open_link(&plane, &w, j, false))
+        .collect();
     assert_eq!(plane.remote_link_count(), w.subs, "one proxy link per sub");
-    println!(
-        "include churn: {} links, p50 {:.1} us, p99 {:.1} us",
-        w.subs,
-        percentile(&include_ns, 0.50),
-        percentile(&include_ns, 0.99)
-    );
+    println!("include churn: {} subscriptions, {} links", w.subs, w.subs);
 
     // Phase 2 — propagation rounds.
     let mut node_value = vec![0u64; w.src_nodes];
     let mut applied_total = 0usize;
     let mut fired_total = 0usize;
-    let t = Instant::now();
     for r in 0..w.rounds {
         for f in 0..w.fires_per_round {
             let n = (r * w.fires_per_round + f) % w.src_nodes;
@@ -322,13 +258,6 @@ fn main() {
         }
         applied_total += plane.pump();
     }
-    let prop_secs = t.elapsed().as_secs_f64().max(1e-9);
-    let fanout = applied_total as f64 / fired_total.max(1) as f64;
-    println!(
-        "propagation: {fired_total} fires, {applied_total} remote updates applied \
-         (fan-out {fanout:.2}), {:.0} fires/s",
-        fired_total as f64 / prop_secs
-    );
     // Freshness spot-check: every mirror whose source node was updated
     // serves the owner's current value through its proxy.
     let mut checked = 0;
@@ -345,6 +274,10 @@ fn main() {
         checked += 1;
     }
     assert!(checked > 0, "propagation touched no subscribed mirror");
+    println!(
+        "propagation: {fired_total} fires, {applied_total} remote updates applied, \
+         {checked} updated mirrors checked fresh"
+    );
 
     // Phase 3 — partition kill: fresh-or-degraded reads only.
     let killed = links[0].owner;
@@ -406,127 +339,22 @@ fn main() {
 
     // Phase 4 — exclude churn.
     let half = links.len() / 2;
-    let mut exclude_ns: Vec<u128> = Vec::with_capacity(half);
-    for l in links.drain(..half) {
-        let t = Instant::now();
-        drop(l.sub);
-        exclude_ns.push(t.elapsed().as_nanos());
-    }
-    exclude_ns.sort_unstable();
+    links.drain(..half).for_each(drop);
     assert_eq!(
         plane.remote_link_count(),
         w.subs - half,
         "each exclusion released its link"
     );
-    println!(
-        "exclude churn: {half} drops, p50 {:.1} us, p99 {:.1} us",
-        percentile(&exclude_ns, 0.50),
-        percentile(&exclude_ns, 0.99)
-    );
     drop(links);
-    assert_eq!(plane.remote_link_count(), 0);
+    assert_eq!(plane.remote_link_count(), 0, "teardown left a link");
+    println!(
+        "exclude churn: {half} drops left {} links, teardown 0",
+        w.subs - half
+    );
 
     // Phase 5 — traced determinism + offline lint export.
-    let (trace_records, trace_violations) = traced_phase(&out_dir);
-    println!(
-        "traced phase: {trace_records} merged records, {trace_violations} violations \
-         (T1-T8 clean), JSONL at {out_dir}/e24_trace.jsonl"
-    );
+    traced_phase();
 
-    record(&mut csv, &mut json, "partitions", PARTITIONS.to_string());
-    record(
-        &mut csv,
-        &mut json,
-        "items_defined",
-        w.total_items().to_string(),
-    );
-    record(
-        &mut csv,
-        &mut json,
-        "cross_partition_subscriptions",
-        w.subs.to_string(),
-    );
-    record(&mut csv, &mut json, "build_ms", format!("{build_ms:.1}"));
-    for (name, ns) in [("include", &include_ns), ("exclude", &exclude_ns)] {
-        for (tag, p) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
-            record(
-                &mut csv,
-                &mut json,
-                &format!("{name}_latency_us_{tag}"),
-                format!("{:.2}", percentile(ns, p)),
-            );
-        }
-    }
-    record(
-        &mut csv,
-        &mut json,
-        "propagation_fires",
-        fired_total.to_string(),
-    );
-    record(
-        &mut csv,
-        &mut json,
-        "remote_updates_applied",
-        applied_total.to_string(),
-    );
-    record(
-        &mut csv,
-        &mut json,
-        "propagation_fanout_avg",
-        format!("{fanout:.3}"),
-    );
-    record(
-        &mut csv,
-        &mut json,
-        "propagation_fires_per_sec",
-        format!("{:.0}", fired_total as f64 / prop_secs),
-    );
-    record(
-        &mut csv,
-        &mut json,
-        "kill_degraded_reads",
-        degraded_reads.to_string(),
-    );
-    record(
-        &mut csv,
-        &mut json,
-        "kill_fresh_reads",
-        fresh_reads.to_string(),
-    );
-    record(
-        &mut csv,
-        &mut json,
-        "kill_fresh_or_degraded",
-        "1".to_string(),
-    );
-    record(
-        &mut csv,
-        &mut json,
-        "trace_records",
-        trace_records.to_string(),
-    );
-    record(
-        &mut csv,
-        &mut json,
-        "trace_violations",
-        trace_violations.to_string(),
-    );
-
-    let csv_path = format!("{out_dir}/e24_partition_churn.csv");
-    let mut json_text = String::from("{\n");
-    for (i, (k, v)) in json.iter().enumerate() {
-        let sep = if i + 1 == json.len() { "" } else { "," };
-        let _ = writeln!(json_text, "  \"{k}\": {v}{sep}");
-    }
-    json_text.push_str("}\n");
-    let json_path = format!("{out_dir}/BENCH_e24.json");
-    match std::fs::create_dir_all(&out_dir)
-        .and_then(|()| std::fs::write(&csv_path, &csv))
-        .and_then(|()| std::fs::write(&json_path, &json_text))
-    {
-        Ok(()) => println!("\nCSV written to {csv_path}\nJSON written to {json_path}"),
-        Err(e) => println!("could not write {out_dir}/ ({e}); CSV follows:\n{csv}"),
-    }
     println!(
         "\nE24 invariants held: {} cross-partition links churned, kill-phase reads all \
          fresh-or-degraded, merged trace T1-T8 clean.",

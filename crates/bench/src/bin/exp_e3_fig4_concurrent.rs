@@ -9,22 +9,15 @@
 //! table of the paper's Figure 4. The shared periodic handler (window 50)
 //! reports 0.1 to both.
 
+use streammeta_bench::harness::virtual_stack;
 use streammeta_bench::table::{f, Table};
-use streammeta_core::{MetadataKey, MetadataManager};
+use streammeta_core::MetadataKey;
 use streammeta_engine::VirtualEngine;
-use streammeta_graph::{MetadataConfig, QueryGraph};
 use streammeta_streams::{ConstantRate, TupleGen};
-use streammeta_time::{TimeSpan, Timestamp, VirtualClock};
+use streammeta_time::{TimeSpan, Timestamp};
 
 fn main() {
-    let clock = VirtualClock::shared();
-    let manager = MetadataManager::new(clock.clone());
-    let graph = std::sync::Arc::new(QueryGraph::with_config(
-        manager.clone(),
-        MetadataConfig {
-            rate_window: TimeSpan(50),
-        },
-    ));
+    let (clock, manager, graph) = virtual_stack(50);
     let src = graph.source(
         "s",
         Box::new(ConstantRate::new(

@@ -12,22 +12,15 @@
 
 use std::sync::Arc;
 
+use streammeta_bench::harness::virtual_stack;
 use streammeta_bench::table::{f, Table};
-use streammeta_core::{ItemDef, MetadataKey, MetadataManager, MetadataValue, OnlineAverage};
+use streammeta_core::{ItemDef, MetadataKey, MetadataValue, OnlineAverage};
 use streammeta_engine::VirtualEngine;
-use streammeta_graph::{MetadataConfig, QueryGraph};
 use streammeta_streams::{Bursty, TupleGen};
-use streammeta_time::{TimeSpan, Timestamp, VirtualClock};
+use streammeta_time::{TimeSpan, Timestamp};
 
 fn main() {
-    let clock = VirtualClock::shared();
-    let manager = MetadataManager::new(clock.clone());
-    let graph = Arc::new(QueryGraph::with_config(
-        manager.clone(),
-        MetadataConfig {
-            rate_window: TimeSpan(50),
-        },
-    ));
+    let (clock, manager, graph) = virtual_stack(50);
     let src = graph.source(
         "bursty",
         Box::new(Bursty::new(

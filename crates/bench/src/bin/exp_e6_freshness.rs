@@ -10,12 +10,12 @@
 //! of the reported rate against the true phase rate — small windows are
 //! fresh but expensive; large windows are cheap but stale.
 
+use streammeta_bench::harness::virtual_stack;
 use streammeta_bench::table::{f, Table};
-use streammeta_core::{MetadataKey, MetadataManager};
+use streammeta_core::MetadataKey;
 use streammeta_engine::VirtualEngine;
-use streammeta_graph::{MetadataConfig, QueryGraph};
 use streammeta_streams::{Bursty, TupleGen};
-use streammeta_time::{TimeSpan, Timestamp, VirtualClock};
+use streammeta_time::{TimeSpan, Timestamp};
 
 /// True rate at instant `t` for the 100/100 phase pattern.
 fn true_rate(t: u64) -> f64 {
@@ -27,14 +27,7 @@ fn true_rate(t: u64) -> f64 {
 }
 
 fn run(window: u64) -> (u64, f64) {
-    let clock = VirtualClock::shared();
-    let manager = MetadataManager::new(clock.clone());
-    let graph = std::sync::Arc::new(QueryGraph::with_config(
-        manager.clone(),
-        MetadataConfig {
-            rate_window: TimeSpan(window),
-        },
-    ));
+    let (clock, manager, graph) = virtual_stack(window);
     let src = graph.source(
         "bursty",
         Box::new(Bursty::new(

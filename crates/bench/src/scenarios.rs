@@ -5,11 +5,12 @@ use std::sync::Arc;
 use streammeta_core::{MetadataManager, NodeId};
 use streammeta_costmodel::install_cost_model;
 use streammeta_graph::{
-    FilterPredicate, JoinPredicate, MetadataConfig, QueryGraph, SelectivityHandle, StateImpl,
-    WindowHandle,
+    FilterPredicate, JoinPredicate, QueryGraph, SelectivityHandle, StateImpl, WindowHandle,
 };
 use streammeta_streams::{ConstantRate, TupleGen};
-use streammeta_time::{TimeSpan, Timestamp, VirtualClock};
+use streammeta_time::{Clock, TimeSpan, Timestamp, VirtualClock, WallClock};
+
+use crate::harness::{stack, virtual_stack};
 
 /// The Figure 3 query: two sources, two time windows, a sliding-window
 /// join and a sink, with the cost model installed.
@@ -34,14 +35,7 @@ pub struct JoinScenario {
 
 /// Builds the Figure 3 query with constant-rate inputs.
 pub fn join_scenario(interarrival: u64, window: u64, rate_window: u64) -> JoinScenario {
-    let clock = VirtualClock::shared();
-    let manager = MetadataManager::new(clock.clone());
-    let graph = Arc::new(QueryGraph::with_config(
-        manager.clone(),
-        MetadataConfig {
-            rate_window: TimeSpan(rate_window),
-        },
-    ));
+    let (clock, manager, graph) = virtual_stack(rate_window);
     let s1 = graph.source(
         "s1",
         Box::new(ConstantRate::new(
@@ -99,14 +93,7 @@ pub struct ParallelScenario {
 /// Builds `queries` parallel filter queries, each fed one element every
 /// `interarrival` time units.
 pub fn parallel_queries(queries: usize, interarrival: u64, rate_window: u64) -> ParallelScenario {
-    let clock = VirtualClock::shared();
-    let manager = MetadataManager::new(clock.clone());
-    let graph = Arc::new(QueryGraph::with_config(
-        manager.clone(),
-        MetadataConfig {
-            rate_window: TimeSpan(rate_window),
-        },
-    ));
+    let (clock, manager, graph) = virtual_stack(rate_window);
     let mut filters = Vec::with_capacity(queries);
     let mut selectivities = Vec::with_capacity(queries);
     let mut sinks = Vec::with_capacity(queries);
@@ -140,6 +127,39 @@ pub fn parallel_queries(queries: usize, interarrival: u64, rate_window: u64) -> 
         selectivities,
         sinks,
     }
+}
+
+/// The wall-clock query of the threaded-executor experiments (E11, E18,
+/// E20): one element every 20µs through a pass-everything filter into a
+/// discarding sink, 10ms periodic windows. Returns the filter's node.
+pub fn wall_filter_query() -> (
+    Arc<dyn Clock>,
+    Arc<MetadataManager>,
+    Arc<QueryGraph>,
+    NodeId,
+) {
+    let clock: Arc<dyn Clock> = WallClock::shared();
+    let (manager, graph) = stack(clock.clone(), 10_000);
+    let src = graph.source(
+        "s",
+        Box::new(ConstantRate::new(
+            Timestamp(0),
+            TimeSpan(20),
+            TupleGen::Sequence,
+            1,
+        )),
+    );
+    let filter = graph.filter(
+        "f",
+        src,
+        FilterPredicate::AttrLt {
+            col: 0,
+            bound: i64::MAX,
+        },
+        1,
+    );
+    graph.sink_discard("k", filter);
+    (clock, manager, graph, filter)
 }
 
 #[cfg(test)]

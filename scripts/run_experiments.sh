@@ -18,14 +18,9 @@ cargo build --release -p streammeta-bench --bins
 # individually, its status is recorded, and the summary (plus the exit
 # code) reports every failure at the end.
 declare -a passed=() failed=()
-for exp in exp_e1_taxonomy exp_e2_fig3_cascade exp_e3_fig4_concurrent \
-           exp_e4_fig5_aggregation exp_e5_scalability exp_e6_freshness \
-           exp_e10_resize exp_e11_concurrency exp_e12_dyndeps \
-           exp_e13_chain exp_e14_shedding exp_e15_selectivity \
-           exp_e16_optimizer exp_e17_qos exp_e18_observability \
-           exp_e19_read_contention exp_e20_fault_injection \
-           exp_e21_catalog exp_e22_batch_propagation \
-           exp_e23_span_lineage exp_e24_partition_churn; do
+# Every exp_e<N>_*.rs of the bench crate is an experiment; version sort
+# puts them in numeric order of N.
+for exp in $(basename -s .rs crates/bench/src/bin/exp_e*.rs | sort -V); do
     echo "=== $exp ==="
     if RESULTS_DIR="$OUT" ./target/release/"$exp" | tee "$OUT/$exp.txt"; then
         passed+=("$exp")
@@ -44,10 +39,6 @@ for exp in "${failed[@]}";  do echo "  FAIL  $exp"; done
 echo
 echo "All experiment outputs written to $OUT/"
 echo "Recorder time series: $OUT/e18_observability.csv"
-echo "Catalog perf summary: $OUT/BENCH_e21.json"
-echo "Batch propagation summary: $OUT/BENCH_e22.json"
-echo "Span lineage summary: $OUT/BENCH_e23.json"
-echo "Partition churn summary: $OUT/BENCH_e24.json"
 
 if [ "${#failed[@]}" -gt 0 ]; then
     exit 1
