@@ -6,16 +6,23 @@
 //! strategy (optionally rate-limited to simulate overload), and then fires
 //! the due periodic metadata updates. Everything is deterministic, so the
 //! paper's anomaly tables reproduce exactly.
+//!
+//! What an element's way through the graph depends on — which node
+//! consumes a queue, on which port, and which queues its outputs go to —
+//! is compiled into a [`Plan`] once per topology change
+//! ([`QueryGraph::generation`]), so the per-element path is a scheduler
+//! decision, one queue lookup and indexed accesses from there on.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use streammeta_core::{NodeId, PartitionedMetadataPlane};
-use streammeta_graph::{NodeKind, QueryGraph};
+use streammeta_graph::{NodeKind, NodeSlot, QueryGraph};
 use streammeta_streams::Element;
 use streammeta_time::{Clock, TimeSpan, Timestamp, VirtualClock};
 
 use crate::probes::EngineProbes;
-use crate::queues::QueueSet;
+use crate::queues::{QueueKey, QueueSet};
 use crate::scheduler::{FifoScheduler, Scheduler};
 use crate::shedder::LoadShedder;
 
@@ -38,6 +45,9 @@ pub struct EngineStats {
     /// `ticks` for the time-averaged queue occupancy (the quantity Chain
     /// scheduling minimises).
     pub queue_integral_elements: u64,
+    /// Times the execution plan was compiled: once per tick that found
+    /// the graph's topology changed since the tick before.
+    pub plan_builds: u64,
 }
 
 impl EngineStats {
@@ -47,6 +57,91 @@ impl EngineStats {
             0.0
         } else {
             self.queue_integral_elements as f64 / self.ticks as f64
+        }
+    }
+}
+
+/// A node with the queues its output fans out to, as [`QueueSet`]
+/// indices in wiring order.
+struct Stage {
+    slot: Arc<NodeSlot>,
+    /// The input port the stage's queue feeds (0 for a source).
+    port: usize,
+    downstream: Vec<usize>,
+}
+
+/// The element path of one graph generation.
+#[derive(Default)]
+struct Plan {
+    /// The [`QueryGraph::generation`] the plan was compiled at (`None`
+    /// before the first tick).
+    generation: Option<u64>,
+    /// The sources, in node-id order.
+    sources: Vec<Stage>,
+    /// The consumer of every queue, indexed like the [`QueueSet`].
+    consumers: Vec<Stage>,
+}
+
+impl Plan {
+    /// Compiles the plan of `graph` as it is now, registering a queue per
+    /// wired edge and discarding the queues (and queued elements) of
+    /// consumers that are gone.
+    fn compile(graph: &QueryGraph, queues: &mut QueueSet) -> Plan {
+        // Read first: a change racing with the compilation leaves a
+        // generation that is already behind, and the next tick recompiles.
+        let generation = graph.generation();
+        let slots: BTreeMap<NodeId, Arc<NodeSlot>> = graph
+            .nodes()
+            .into_iter()
+            .filter_map(|id| Some((id, graph.get(id)?)))
+            .collect();
+        // An edge whose consumer is not in `slots` belongs to a node
+        // being inserted right now; the generation moves when it is.
+        let edges = |slot: &NodeSlot| -> Vec<QueueKey> {
+            let mut edges = slot.downstream();
+            edges.retain(|(node, _)| slots.contains_key(node));
+            edges
+        };
+        queues.retain(|(node, _)| slots.contains_key(&node));
+        for slot in slots.values() {
+            for edge in edges(slot) {
+                queues.ensure(edge);
+            }
+        }
+        let stage = |slot: &Arc<NodeSlot>, port: usize| Stage {
+            slot: slot.clone(),
+            port,
+            downstream: edges(slot)
+                .into_iter()
+                .map(|edge| queues.index_of(edge).expect("registered above"))
+                .collect(),
+        };
+        Plan {
+            generation: Some(generation),
+            sources: slots
+                .values()
+                .filter(|slot| slot.kind == NodeKind::Source)
+                .map(|slot| stage(slot, 0))
+                .collect(),
+            consumers: queues
+                .keys()
+                .map(|(node, port)| stage(&slots[&node], port))
+                .collect(),
+        }
+    }
+
+    /// Moves `elements` into the queues downstream of `from`: a clone per
+    /// edge but the last, which gets the element itself.
+    fn fan_out(from: &Stage, queues: &mut QueueSet, elements: &mut Vec<Element>) {
+        let Some((&last, rest)) = from.downstream.split_last() else {
+            elements.clear();
+            return;
+        };
+        for e in elements.drain(..) {
+            for &queue in rest {
+                queues.push_at(queue, e.clone());
+            }
+            queues.push_at(last, e);
         }
     }
 }
@@ -67,9 +162,7 @@ pub struct VirtualEngine {
     /// partition's periodic registry and epoch queue.
     plane: Option<Arc<PartitionedMetadataPlane>>,
     scratch: Vec<Element>,
-    /// Cached source list, refreshed when the graph's node count changes
-    /// (queries installed or removed at runtime).
-    source_cache: (usize, Vec<NodeId>),
+    plan: Plan,
 }
 
 impl VirtualEngine {
@@ -92,7 +185,7 @@ impl VirtualEngine {
             stats: EngineStats::default(),
             plane: None,
             scratch: Vec::new(),
-            source_cache: (usize::MAX, Vec::new()),
+            plan: Plan::default(),
         }
     }
 
@@ -164,57 +257,32 @@ impl VirtualEngine {
         &self.clock
     }
 
-    fn fan_out(
-        queues: &mut QueueSet,
-        graph: &QueryGraph,
-        from: NodeId,
-        elements: &mut Vec<Element>,
-    ) {
-        if elements.is_empty() {
-            return;
-        }
-        let downstream = graph.downstream(from);
-        for e in elements.drain(..) {
-            for (node, port) in &downstream {
-                queues.push((*node, *port), e.clone());
-            }
-        }
-    }
-
     /// Runs one tick; returns the new time.
     pub fn tick_once(&mut self) -> Timestamp {
         let now = self.clock.advance(self.tick);
         self.stats.ticks += 1;
+        if self.plan.generation != Some(self.graph.generation()) {
+            self.plan = Plan::compile(&self.graph, &mut self.queues);
+            self.stats.plan_builds += 1;
+        }
 
         // 1. Release due source elements (through the shedder, if any).
-        if self.source_cache.0 != self.graph.len() {
-            let sources = self
-                .graph
-                .nodes()
-                .into_iter()
-                .filter(|n| self.graph.kind(*n) == NodeKind::Source)
-                .collect();
-            self.source_cache = (self.graph.len(), sources);
-        }
-        let sources = self.source_cache.1.clone();
-        for src in sources {
+        for source in &self.plan.sources {
             self.scratch.clear();
-            self.graph.pull_source(src, now, &mut self.scratch);
+            source.slot.pull_source(now, &mut self.scratch);
             self.stats.source_elements += self.scratch.len() as u64;
             if let Some(shedder) = &mut self.shedder {
-                let monitors = self.graph.monitors(src);
+                let dropped = &source.slot.monitors.dropped;
                 self.scratch.retain(|_| {
                     if shedder.should_drop() {
-                        monitors.dropped.record();
+                        dropped.record();
                         false
                     } else {
                         true
                     }
                 });
             }
-            let mut elements = std::mem::take(&mut self.scratch);
-            Self::fan_out(&mut self.queues, &self.graph, src, &mut elements);
-            self.scratch = elements;
+            Plan::fan_out(source, &mut self.queues, &mut self.scratch);
         }
 
         // 2. Drain queues under the scheduling strategy.
@@ -223,17 +291,21 @@ impl VirtualEngine {
             let Some(key) = self.scheduler.next(&self.queues) else {
                 break;
             };
-            let item = self.queues.pop(key).expect("scheduler picked non-empty");
+            let queue = self.queues.index_of(key).expect("scheduler picked a queue");
+            let item = self
+                .queues
+                .pop_at(queue)
+                .expect("scheduler picked non-empty");
+            let consumer = &self.plan.consumers[queue];
             self.scratch.clear();
-            self.graph
-                .process(key.0, key.1, &item.element, now, &mut self.scratch);
+            consumer
+                .slot
+                .process(consumer.port, &item.element, now, &mut self.scratch);
             self.stats.processed += 1;
             if let Some(p) = &self.probes {
                 p.processed.record();
             }
-            let mut outputs = std::mem::take(&mut self.scratch);
-            Self::fan_out(&mut self.queues, &self.graph, key.0, &mut outputs);
-            self.scratch = outputs;
+            Plan::fan_out(consumer, &mut self.queues, &mut self.scratch);
             budget -= 1;
         }
 

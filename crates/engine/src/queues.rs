@@ -3,8 +3,13 @@
 //! Each wired edge `(consumer node, input port)` owns a FIFO queue. The
 //! queue set tracks global element and byte totals — the quantities the
 //! Chain scheduler minimises and the load shedder bounds.
+//!
+//! Queues are stored densely, sorted by [`QueueKey`], so a queue has an
+//! index the engine's plan can hold on to; only registering or discarding
+//! a queue moves indices. The globally oldest element is found through an
+//! arrival log rather than a scan.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use streammeta_core::NodeId;
 use streammeta_streams::Element;
@@ -20,15 +25,27 @@ pub struct Queued {
     pub seq: u64,
     /// The element.
     pub element: Element,
+    /// The element's `size_bytes()`, measured once on arrival.
+    pub bytes: usize,
+}
+
+struct Queue {
+    key: QueueKey,
+    items: VecDeque<Queued>,
 }
 
 /// All inter-operator queues of one engine.
 #[derive(Default)]
 pub struct QueueSet {
-    queues: BTreeMap<QueueKey, VecDeque<Queued>>,
-    /// Index of queue fronts by arrival sequence (oldest first), so FIFO
-    /// scheduling is O(log q) instead of scanning every queue.
-    fronts: BTreeMap<u64, QueueKey>,
+    /// Sorted by key.
+    queues: Vec<Queue>,
+    /// `(seq, queue index)` of every push, in push order. An entry is live
+    /// while its element is still queued; the head is always live, so the
+    /// globally oldest element is found in O(1). Entries of elements
+    /// popped from behind the head (non-FIFO schedulers) go stale and are
+    /// dropped when they reach the head, or by compaction once the log is
+    /// longer than twice the queued elements (plus a constant).
+    arrivals: VecDeque<(u64, usize)>,
     next_seq: u64,
     total_elements: usize,
     total_bytes: usize,
@@ -40,46 +57,131 @@ impl QueueSet {
         Self::default()
     }
 
-    /// Registers a queue for an edge (idempotent).
-    pub fn ensure(&mut self, key: QueueKey) {
-        self.queues.entry(key).or_default();
+    /// The index of `key`'s queue, valid until a queue is registered or
+    /// discarded.
+    pub fn index_of(&self, key: QueueKey) -> Option<usize> {
+        self.queues.binary_search_by_key(&key, |q| q.key).ok()
+    }
+
+    /// Registers a queue for an edge (idempotent); returns its index.
+    pub fn ensure(&mut self, key: QueueKey) -> usize {
+        match self.queues.binary_search_by_key(&key, |q| q.key) {
+            Ok(index) => index,
+            Err(index) => {
+                self.queues.insert(
+                    index,
+                    Queue {
+                        key,
+                        items: VecDeque::new(),
+                    },
+                );
+                for (_, queue) in &mut self.arrivals {
+                    if *queue >= index {
+                        *queue += 1;
+                    }
+                }
+                index
+            }
+        }
+    }
+
+    /// Discards every queue `keep` rejects, with the elements it holds.
+    pub fn retain(&mut self, mut keep: impl FnMut(QueueKey) -> bool) {
+        let mut renumbered = Vec::with_capacity(self.queues.len());
+        let mut kept = 0;
+        let (total_elements, total_bytes) = (&mut self.total_elements, &mut self.total_bytes);
+        self.queues.retain(|q| {
+            let keep = keep(q.key);
+            renumbered.push(keep.then_some(kept));
+            if keep {
+                kept += 1;
+            } else {
+                *total_elements -= q.items.len();
+                *total_bytes -= q.items.iter().map(|i| i.bytes).sum::<usize>();
+            }
+            keep
+        });
+        self.arrivals
+            .retain_mut(|(_, queue)| match renumbered[*queue] {
+                Some(index) => {
+                    *queue = index;
+                    true
+                }
+                None => false,
+            });
+        self.drop_stale_arrivals();
     }
 
     /// Enqueues an element for `key`, assigning its sequence number.
     pub fn push(&mut self, key: QueueKey, element: Element) {
+        let index = self.ensure(key);
+        self.push_at(index, element);
+    }
+
+    /// [`Self::push`] by queue index.
+    pub fn push_at(&mut self, index: usize, element: Element) {
         let seq = self.next_seq;
         self.next_seq += 1;
+        let bytes = element.size_bytes();
         self.total_elements += 1;
-        self.total_bytes += element.size_bytes();
-        let q = self.queues.entry(key).or_default();
-        if q.is_empty() {
-            self.fronts.insert(seq, key);
-        }
-        q.push_back(Queued { seq, element });
+        self.total_bytes += bytes;
+        self.queues[index].items.push_back(Queued {
+            seq,
+            element,
+            bytes,
+        });
+        self.arrivals.push_back((seq, index));
     }
 
     /// Dequeues the oldest element of `key`.
     pub fn pop(&mut self, key: QueueKey) -> Option<Queued> {
-        let q = self.queues.get_mut(&key)?;
-        let item = q.pop_front()?;
-        self.fronts.remove(&item.seq);
-        if let Some(next) = q.front() {
-            self.fronts.insert(next.seq, key);
-        }
+        self.pop_at(self.index_of(key)?)
+    }
+
+    /// [`Self::pop`] by queue index.
+    pub fn pop_at(&mut self, index: usize) -> Option<Queued> {
+        let item = self.queues[index].items.pop_front()?;
         self.total_elements -= 1;
-        self.total_bytes -= item.element.size_bytes();
+        self.total_bytes -= item.bytes;
+        self.drop_stale_arrivals();
         Some(item)
     }
 
+    /// Whether the element a log entry stands for is still queued: its
+    /// queue pops from the front, so it is iff the front is no younger.
+    fn is_live(queues: &[Queue], (seq, queue): (u64, usize)) -> bool {
+        queues[queue].items.front().is_some_and(|f| f.seq <= seq)
+    }
+
+    /// Restores the log's invariants after elements left: a live head,
+    /// and a length bounded by the queued elements.
+    fn drop_stale_arrivals(&mut self) {
+        while let Some(&head) = self.arrivals.front() {
+            if Self::is_live(&self.queues, head) {
+                break;
+            }
+            self.arrivals.pop_front();
+        }
+        if self.arrivals.len() > 2 * self.total_elements + 64 {
+            let queues = &self.queues;
+            self.arrivals.retain(|&entry| Self::is_live(queues, entry));
+        }
+    }
+
+    /// Length of the arrival log: at most `2 * total_elements() + 64`.
+    pub fn arrival_log_len(&self) -> usize {
+        self.arrivals.len()
+    }
+
     /// The queue holding the globally oldest element, if any — the FIFO
-    /// scheduling decision in O(log q).
+    /// scheduling decision in O(1).
     pub fn oldest(&self) -> Option<QueueKey> {
-        self.fronts.values().next().copied()
+        self.arrivals.front().map(|&(_, q)| self.queues[q].key)
     }
 
     /// Length of one queue.
     pub fn len(&self, key: QueueKey) -> usize {
-        self.queues.get(&key).map_or(0, |q| q.len())
+        self.index_of(key).map_or(0, |i| self.queues[i].items.len())
     }
 
     /// Whether all queues are empty.
@@ -99,7 +201,10 @@ impl QueueSet {
 
     /// The arrival sequence number at the front of `key`'s queue.
     pub fn front_seq(&self, key: QueueKey) -> Option<u64> {
-        self.queues.get(&key)?.front().map(|q| q.seq)
+        self.queues[self.index_of(key)?]
+            .items
+            .front()
+            .map(|q| q.seq)
     }
 
     /// Iterates over the keys of all non-empty queues (deterministic
@@ -107,13 +212,13 @@ impl QueueSet {
     pub fn non_empty(&self) -> impl Iterator<Item = QueueKey> + '_ {
         self.queues
             .iter()
-            .filter(|(_, q)| !q.is_empty())
-            .map(|(k, _)| *k)
+            .filter(|q| !q.items.is_empty())
+            .map(|q| q.key)
     }
 
     /// All registered keys (deterministic order).
     pub fn keys(&self) -> impl Iterator<Item = QueueKey> + '_ {
-        self.queues.keys().copied()
+        self.queues.iter().map(|q| q.key)
     }
 }
 
@@ -179,6 +284,44 @@ mod tests {
         assert_eq!(qs.oldest(), Some((NodeId(2), 0)));
         qs.pop((NodeId(2), 0));
         assert_eq!(qs.oldest(), None);
+    }
+
+    #[test]
+    fn stale_log_entries_are_compacted_behind_a_live_head() {
+        let mut qs = QueueSet::new();
+        let (pinned, busy) = ((NodeId(1), 0), (NodeId(2), 0));
+        qs.push(pinned, elem(0));
+        for v in 1..1000 {
+            qs.push(busy, elem(v));
+            qs.pop(busy);
+            assert!(qs.arrival_log_len() <= 2 * qs.total_elements() + 64);
+            assert_eq!(qs.oldest(), Some(pinned));
+        }
+        qs.pop(pinned);
+        assert_eq!(qs.oldest(), None);
+        assert_eq!(qs.arrival_log_len(), 0);
+    }
+
+    #[test]
+    fn retain_discards_queues_with_their_elements() {
+        let mut qs = QueueSet::new();
+        let (a, b, c) = ((NodeId(1), 0), (NodeId(2), 0), (NodeId(3), 0));
+        qs.push(b, elem(0)); // seq 0
+        qs.push(a, elem(1)); // seq 1
+        qs.push(c, elem(2)); // seq 2
+        qs.push(b, elem(3)); // seq 3
+        let c_index = qs.index_of(c);
+        qs.retain(|key| key != b);
+        assert_eq!(qs.keys().collect::<Vec<_>>(), vec![a, c]);
+        assert_ne!(qs.index_of(c), c_index, "indices behind b moved up");
+        assert_eq!(qs.total_elements(), 2);
+        assert_eq!(qs.total_bytes(), 16);
+        assert_eq!(qs.oldest(), Some(a));
+        qs.pop(a);
+        assert_eq!(qs.oldest(), Some(c));
+        // Registering in front of a queue keeps its log entries on it.
+        qs.push((NodeId(0), 0), elem(4));
+        assert_eq!(qs.oldest(), Some(c));
     }
 
     #[test]

@@ -459,3 +459,130 @@ fn threaded_executor_processes_concurrently_with_metadata_access() {
     );
     assert_eq!(out.len() as u64, stats.source_elements);
 }
+
+/// A private source feeding a counting sink: two nodes.
+fn counted_source(
+    graph: &QueryGraph,
+    name: &str,
+    seed: u64,
+) -> (streammeta_core::NodeId, streammeta_graph::CountHandle) {
+    let src = graph.source(
+        name,
+        Box::new(ConstantRate::new(
+            Timestamp(0),
+            TimeSpan(1),
+            TupleGen::Sequence,
+            seed,
+        )),
+    );
+    graph.sink_count(&format!("{name}-sink"), src)
+}
+
+/// Removing a query down to its private source and installing one of
+/// equal node count leaves the graph's size where it was; the engine must
+/// still notice that its sources changed.
+#[test]
+fn replaced_source_of_equal_node_count_is_pulled() {
+    let (clock, _mgr, graph) = setup(50);
+    let (old_sink, old_count) = counted_source(&graph, "old", 1);
+    let mut engine = VirtualEngine::new(graph.clone(), clock);
+    engine.run_for(TimeSpan(10));
+    assert_eq!(old_count.get(), 10);
+
+    let nodes = graph.len();
+    assert_eq!(graph.remove_query(old_sink).len(), 2, "sink and source");
+    let (_new_sink, new_count) = counted_source(&graph, "new", 2);
+    assert_eq!(graph.len(), nodes, "same node count, different nodes");
+
+    engine.run_for(TimeSpan(10));
+    assert_eq!(old_count.get(), 10, "the removed query stopped");
+    assert!(new_count.get() > 0, "the new source is pulled");
+}
+
+/// Elements still queued for a node when its query is removed are
+/// discarded with it, the totals follow, and the surviving query's
+/// results are those of a run that never had the removed one.
+#[test]
+fn queued_elements_of_a_removed_query_are_discarded() {
+    use streammeta_streams::{tuple, Element, Replay, Schema, Value, ValueType};
+
+    let run = |with_victim: bool| {
+        let (clock, _mgr, graph) = setup(50);
+        let schema = Schema::of(&[("v", ValueType::Int)]);
+        let elements = (1..=20)
+            .map(|t| Element::new(tuple([Value::Int(t as i64)]), Timestamp(t)))
+            .collect();
+        let src = graph.source("s", Box::new(Replay::new(schema, elements)));
+        let keep = graph.filter("keep", src, FilterPredicate::AttrGt { col: 0, bound: 5 }, 1);
+        let (_kept_sink, kept) = graph.sink_collect("kept", keep);
+        let victim = with_victim.then(|| {
+            let f = graph.filter(
+                "victim",
+                src,
+                FilterPredicate::AttrGt { col: 0, bound: 0 },
+                2,
+            );
+            graph.sink_count("victim-sink", f).0
+        });
+
+        let mut engine = VirtualEngine::new(graph.clone(), clock);
+        // One operator invocation per tick against up to two arrivals:
+        // queues build up in front of both queries.
+        engine.set_ops_per_tick(Some(1));
+        engine.run_for(TimeSpan(10));
+        if let Some(victim_sink) = victim {
+            assert!(engine.queues().total_elements() > 2);
+            assert_eq!(graph.remove_query(victim_sink).len(), 2, "sink and filter");
+            engine.tick_once();
+            let queues = engine.queues();
+            let recount: usize = queues.keys().map(|k| queues.len(k)).sum();
+            assert_eq!(queues.total_elements(), recount);
+            assert!(
+                queues.keys().all(|(node, _)| graph.get(node).is_some()),
+                "only queues of live consumers are left"
+            );
+        }
+        engine.set_ops_per_tick(None);
+        engine.run_for(TimeSpan(20));
+        assert_eq!(engine.queues().total_elements(), 0);
+        assert_eq!(
+            engine.queues().total_bytes(),
+            0,
+            "bytes followed the discard"
+        );
+        kept.snapshot()
+            .iter()
+            .map(|e| e.payload[0].as_int().unwrap())
+            .collect::<Vec<_>>()
+    };
+    let survivors = run(true);
+    assert_eq!(survivors, (6..=20).collect::<Vec<_>>());
+    assert_eq!(survivors, run(false));
+}
+
+/// The execution plan is compiled once per topology change, not per
+/// install and not per tick.
+#[test]
+fn plan_is_compiled_once_per_topology_change() {
+    let (clock, _mgr, graph) = setup(50);
+    let sinks: Vec<_> = (0..48)
+        .map(|i| counted_source(&graph, &format!("q{i}"), i).0)
+        .collect();
+    let mut engine = VirtualEngine::new(graph.clone(), clock);
+    assert_eq!(engine.stats().plan_builds, 0);
+    engine.run_for(TimeSpan(10));
+    assert_eq!(engine.stats().plan_builds, 1, "48 installs, one build");
+
+    graph.remove_query(sinks[0]);
+    graph.remove_query(sinks[1]);
+    counted_source(&graph, "late", 99);
+    engine.run_for(TimeSpan(10));
+    assert_eq!(engine.stats().plan_builds, 2, "one build per changed tick");
+    assert_eq!(graph.remove_query(sinks[0]), vec![], "already gone");
+    engine.run_for(TimeSpan(10));
+    assert_eq!(
+        engine.stats().plan_builds,
+        2,
+        "a no-op removal changes nothing"
+    );
+}

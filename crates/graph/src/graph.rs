@@ -8,12 +8,13 @@
 //! A [`QueryGraph`] owns the node slots (behavior + monitors + metadata
 //! registry), the wiring between them, and the per-node metadata
 //! installation. Execution (queues, scheduling) lives in the engine crate,
-//! which drives the graph through [`QueryGraph::pull_source`] and
-//! [`QueryGraph::process`]. Queries can be installed and removed at
-//! runtime; removal detaches the registries of exclusively-owned nodes.
+//! which drives the nodes through [`NodeSlot::pull_source`] and
+//! [`NodeSlot::process`]. Queries can be installed and removed at
+//! runtime; removal detaches the registries of exclusively-owned nodes,
+//! and every topology change moves [`QueryGraph::generation`].
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -81,6 +82,78 @@ impl NodeSlot {
     pub fn output_schema(&self) -> &Schema {
         &self.out_schema
     }
+
+    /// The consumers wired to the node's output: `(node, input port)`.
+    pub fn downstream(&self) -> Vec<(NodeId, usize)> {
+        self.downstream.read().clone()
+    }
+
+    /// Delivers one element to `port`, collecting produced elements into
+    /// `out`. Records input/output/work monitors.
+    pub fn process(&self, port: usize, element: &Element, now: Timestamp, out: &mut Vec<Element>) {
+        self.monitors.record_input(port);
+        self.monitors.work.record_n(1);
+        if self.kind == NodeKind::Sink {
+            // End-to-end latency of the result reaching the application.
+            self.monitors
+                .latency_units
+                .record_n(now.since(element.timestamp).units());
+        }
+        let before = out.len();
+        if let Some(behavior) = &self.behavior {
+            behavior.lock().process(port, element, now, out);
+        }
+        self.monitors.record_output((out.len() - before) as u64);
+        self.observe_histograms(&out[before..]);
+    }
+
+    fn observe_histograms(&self, produced: &[Element]) {
+        if produced.is_empty() {
+            return;
+        }
+        let histograms = self.histograms.read();
+        for (col, monitor) in histograms.iter() {
+            for e in produced {
+                if let Some(v) = e.payload.get(*col).and_then(|v| v.as_int()) {
+                    monitor.observe(v);
+                }
+            }
+        }
+    }
+
+    /// Releases all source elements with `timestamp <= until` into `out`.
+    /// Records the source's output monitor.
+    pub fn pull_source(&self, until: Timestamp, out: &mut Vec<Element>) {
+        let mut src = self
+            .source
+            .as_ref()
+            .expect("pull_source on a non-source node")
+            .lock();
+        let before = out.len();
+        loop {
+            if src.lookahead.is_none() && !src.exhausted {
+                src.lookahead = src.generator.next_element();
+                // A live generator may produce more later; only
+                // non-live generators are latched as exhausted.
+                if src.lookahead.is_none() {
+                    if src.generator.live() {
+                        break;
+                    }
+                    src.exhausted = true;
+                }
+            }
+            match &src.lookahead {
+                Some(e) if e.timestamp <= until => {
+                    out.push(src.lookahead.take().expect("present"));
+                }
+                _ => break,
+            }
+        }
+        let produced = (out.len() - before) as u64;
+        self.monitors.record_output(produced);
+        self.monitors.work.record_n(produced);
+        self.observe_histograms(&out[before..]);
+    }
 }
 
 /// A query graph bound to a metadata manager.
@@ -88,6 +161,8 @@ pub struct QueryGraph {
     manager: Arc<MetadataManager>,
     cfg: MetadataConfig,
     nodes: RwLock<HashMap<NodeId, Arc<NodeSlot>>>,
+    /// Bumped after every change to `nodes` or a node's `downstream`.
+    generation: AtomicU64,
 }
 
 impl QueryGraph {
@@ -102,6 +177,7 @@ impl QueryGraph {
             manager,
             cfg,
             nodes: RwLock::new(HashMap::new()),
+            generation: AtomicU64::new(0),
         }
     }
 
@@ -195,6 +271,7 @@ impl QueryGraph {
         );
         self.manager.attach_node(registry);
         self.nodes.write().insert(id, slot);
+        self.bump_generation();
         id
     }
 
@@ -603,7 +680,22 @@ impl QueryGraph {
 
     /// The consumers wired to a node's output: `(node, input port)`.
     pub fn downstream(&self, id: NodeId) -> Vec<(NodeId, usize)> {
-        self.slot(id).downstream.read().clone()
+        self.slot(id).downstream()
+    }
+
+    /// The topology generation: moves whenever a node is inserted or a
+    /// query removed, and at no other time, so whatever was derived from
+    /// the nodes and their wiring at an equal generation is still exact.
+    pub fn generation(&self) -> u64 {
+        // Acquire pairs with the Release in `bump_generation`: a reader
+        // that sees a generation also sees the topology it counts.
+        self.generation.load(Ordering::Acquire)
+    }
+
+    /// Called by the two writers of `nodes`/`downstream` (`insert_node`,
+    /// `remove_query`) after their change is in place.
+    fn bump_generation(&self) {
+        self.generation.fetch_add(1, Ordering::Release);
     }
 
     /// The node's inputs in port order.
@@ -615,8 +707,8 @@ impl QueryGraph {
     // Execution interface (driven by the engine)
     // ------------------------------------------------------------------
 
-    /// Delivers one element to `node`'s `port`, collecting produced
-    /// elements into `out`. Records input/output/work monitors.
+    /// Delivers one element to `node`'s `port` ([`NodeSlot::process`] by
+    /// id).
     pub fn process(
         &self,
         node: NodeId,
@@ -625,70 +717,13 @@ impl QueryGraph {
         now: Timestamp,
         out: &mut Vec<Element>,
     ) {
-        let slot = self.slot(node);
-        slot.monitors.record_input(port);
-        slot.monitors.work.record_n(1);
-        if slot.kind == NodeKind::Sink {
-            // End-to-end latency of the result reaching the application.
-            slot.monitors
-                .latency_units
-                .record_n(now.since(element.timestamp).units());
-        }
-        let before = out.len();
-        if let Some(behavior) = &slot.behavior {
-            behavior.lock().process(port, element, now, out);
-        }
-        slot.monitors.record_output((out.len() - before) as u64);
-        Self::observe_histograms(&slot, &out[before..]);
+        self.slot(node).process(port, element, now, out);
     }
 
-    fn observe_histograms(slot: &NodeSlot, produced: &[Element]) {
-        if produced.is_empty() {
-            return;
-        }
-        let histograms = slot.histograms.read();
-        for (col, monitor) in histograms.iter() {
-            for e in produced {
-                if let Some(v) = e.payload.get(*col).and_then(|v| v.as_int()) {
-                    monitor.observe(v);
-                }
-            }
-        }
-    }
-
-    /// Releases all source elements with `timestamp <= until` into `out`.
-    /// Records the source's output monitor.
+    /// Releases all of `node`'s source elements with `timestamp <= until`
+    /// into `out` ([`NodeSlot::pull_source`] by id).
     pub fn pull_source(&self, node: NodeId, until: Timestamp, out: &mut Vec<Element>) {
-        let slot = self.slot(node);
-        let mut src = slot
-            .source
-            .as_ref()
-            .expect("pull_source on a non-source node")
-            .lock();
-        let before = out.len();
-        loop {
-            if src.lookahead.is_none() && !src.exhausted {
-                src.lookahead = src.generator.next_element();
-                // A live generator may produce more later; only
-                // non-live generators are latched as exhausted.
-                if src.lookahead.is_none() {
-                    if src.generator.live() {
-                        break;
-                    }
-                    src.exhausted = true;
-                }
-            }
-            match &src.lookahead {
-                Some(e) if e.timestamp <= until => {
-                    out.push(src.lookahead.take().expect("present"));
-                }
-                _ => break,
-            }
-        }
-        let produced = (out.len() - before) as u64;
-        slot.monitors.record_output(produced);
-        slot.monitors.work.record_n(produced);
-        Self::observe_histograms(&slot, &out[out.len() - produced as usize..]);
+        self.slot(node).pull_source(until, out);
     }
 
     /// The next pending source arrival time, if any.
@@ -734,6 +769,9 @@ impl QueryGraph {
                     pending.push(*up);
                 }
             }
+        }
+        if !removed.is_empty() {
+            self.bump_generation();
         }
         removed.sort();
         removed

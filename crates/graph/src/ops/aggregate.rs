@@ -44,6 +44,8 @@ pub struct WindowAggregate {
     kind: AggKind,
     col: usize,
     state: VecDeque<Element>,
+    /// Sum of `size_bytes()` over `state`.
+    state_bytes: usize,
     monitors: Arc<NodeMonitors>,
     schema: Schema,
 }
@@ -55,6 +57,7 @@ impl WindowAggregate {
             kind,
             col,
             state: VecDeque::new(),
+            state_bytes: 0,
             monitors,
             schema: Schema::of(&[(kind.label(), ValueType::Float)]),
         }
@@ -65,6 +68,7 @@ impl WindowAggregate {
             if front.is_valid_at(now) {
                 break;
             }
+            self.state_bytes -= front.size_bytes();
             self.state.pop_front();
         }
     }
@@ -103,11 +107,10 @@ impl NodeBehavior for WindowAggregate {
         // The expiry-ordered purge assumes equal validities (one upstream
         // window), which makes the front-of-queue check sufficient.
         self.purge(element.timestamp);
+        self.state_bytes += element.size_bytes();
         self.state.push_back(element.clone());
         self.monitors.state_len.set(self.state.len() as f64);
-        self.monitors
-            .state_bytes
-            .set(self.state.iter().map(|e| e.size_bytes()).sum::<usize>() as f64);
+        self.monitors.state_bytes.set(self.state_bytes as f64);
         out.push(Element {
             payload: [Value::Float(self.value())].into_iter().collect(),
             timestamp: element.timestamp,

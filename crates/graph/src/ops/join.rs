@@ -221,13 +221,6 @@ impl SlidingWindowJoin {
             .replace(new_impl, &|e| pred.key_of(1, &e.payload));
         self.implementation = impl_label(new_impl);
     }
-
-    fn refresh_state_gauges(&self) {
-        let len = self.left.len() + self.right.len();
-        let bytes = self.left.bytes() + self.right.bytes();
-        self.monitors.state_len.set(len as f64);
-        self.monitors.state_bytes.set(bytes as f64);
-    }
 }
 
 impl NodeBehavior for SlidingWindowJoin {
@@ -245,7 +238,7 @@ impl NodeBehavior for SlidingWindowJoin {
         let t = element.timestamp;
         let mut candidates = 0u64;
         let mut overhead = 0u64;
-        {
+        let (other_len, other_bytes) = {
             let mut other_state = other.lock();
             overhead += other_state.op_overhead(); // probe
             other_state.purge_expired(t);
@@ -266,20 +259,25 @@ impl NodeBehavior for SlidingWindowJoin {
                     });
                 }
             });
-        }
-        {
+            (other_state.len(), other_state.bytes())
+        };
+        let (own_len, own_bytes) = {
             let mut own_state = own.lock();
             overhead += own_state.op_overhead(); // insert
             own_state.purge_expired(t);
             let own_key = self.predicate.key_of(port, &element.payload);
             own_state.insert(own_key, element.clone());
-        }
+            (own_state.len(), own_state.bytes())
+        };
         // The graph wrapper records one base work unit per element; the
         // join adds one unit per candidate pair considered plus the state
         // modules' per-operation overhead (hashing cost).
         self.monitors.pairs.record_n(candidates);
         self.monitors.work.record_n(candidates + overhead);
-        self.refresh_state_gauges();
+        self.monitors.state_len.set((own_len + other_len) as f64);
+        self.monitors
+            .state_bytes
+            .set((own_bytes + other_bytes) as f64);
     }
 
     fn output_schema(&self) -> Schema {

@@ -109,11 +109,65 @@ pub trait JoinState: Send {
     }
 }
 
+/// What every state implementation keeps about its stored elements: the
+/// totals the metadata items report, and the watermark that lets
+/// [`JoinState::purge_expired`] return without a scan.
+struct Stored {
+    len: usize,
+    bytes: usize,
+    /// No stored element expires before this instant (a lower bound: exact
+    /// after a purge scan, only lowered by inserts in between).
+    min_expiry: Timestamp,
+}
+
+impl Default for Stored {
+    fn default() -> Self {
+        Stored {
+            len: 0,
+            bytes: 0,
+            min_expiry: Timestamp::MAX,
+        }
+    }
+}
+
+impl Stored {
+    fn insert(&mut self, element: &Element) {
+        self.len += 1;
+        self.bytes += element.size_bytes();
+        self.min_expiry = self.min_expiry.min(element.expiry);
+    }
+
+    /// Purges at `now`; returns how many elements left. Unless the
+    /// watermark shows that nothing can have expired, `scan` has to
+    /// `retain` every stored element by [`Self::keep`], which re-derives
+    /// the watermark.
+    fn purge(&mut self, now: Timestamp, scan: impl FnOnce(&mut Stored)) -> usize {
+        if now < self.min_expiry {
+            return 0;
+        }
+        let before = self.len;
+        self.min_expiry = Timestamp::MAX;
+        scan(self);
+        before - self.len
+    }
+
+    fn keep(&mut self, element: &Element, now: Timestamp) -> bool {
+        let keep = element.is_valid_at(now);
+        if keep {
+            self.min_expiry = self.min_expiry.min(element.expiry);
+        } else {
+            self.len -= 1;
+            self.bytes -= element.size_bytes();
+        }
+        keep
+    }
+}
+
 /// Unordered list state: inserts are O(1), probes scan everything.
 #[derive(Default)]
 pub struct ListState {
     elements: Vec<Element>,
-    bytes: usize,
+    stored: Stored,
 }
 
 impl ListState {
@@ -125,21 +179,14 @@ impl ListState {
 
 impl JoinState for ListState {
     fn insert(&mut self, _key: JoinKey, element: Element) {
-        self.bytes += element.size_bytes();
+        self.stored.insert(&element);
         self.elements.push(element);
     }
 
     fn purge_expired(&mut self, now: Timestamp) -> usize {
-        let before = self.elements.len();
-        let bytes = &mut self.bytes;
-        self.elements.retain(|e| {
-            let keep = e.is_valid_at(now);
-            if !keep {
-                *bytes -= e.size_bytes();
-            }
-            keep
-        });
-        before - self.elements.len()
+        let elements = &mut self.elements;
+        self.stored
+            .purge(now, |stored| elements.retain(|e| stored.keep(e, now)))
     }
 
     fn for_candidates(&self, _probe: Probe, f: &mut dyn FnMut(&Element)) {
@@ -149,11 +196,11 @@ impl JoinState for ListState {
     }
 
     fn len(&self) -> usize {
-        self.elements.len()
+        self.stored.len
     }
 
     fn bytes(&self) -> usize {
-        self.bytes
+        self.stored.bytes
     }
 
     fn impl_name(&self) -> &'static str {
@@ -166,8 +213,7 @@ impl JoinState for ListState {
 #[derive(Default)]
 pub struct HashState {
     buckets: HashMap<i64, Vec<Element>>,
-    len: usize,
-    bytes: usize,
+    stored: Stored,
 }
 
 impl HashState {
@@ -184,27 +230,18 @@ impl JoinState for HashState {
         let JoinKey::Int(key) = key else {
             panic!("hash state requires an equi-join key");
         };
-        self.bytes += element.size_bytes();
-        self.len += 1;
+        self.stored.insert(&element);
         self.buckets.entry(key).or_default().push(element);
     }
 
     fn purge_expired(&mut self, now: Timestamp) -> usize {
-        let mut removed = 0;
-        let (len, bytes) = (&mut self.len, &mut self.bytes);
-        self.buckets.retain(|_, bucket| {
-            bucket.retain(|e| {
-                let keep = e.is_valid_at(now);
-                if !keep {
-                    removed += 1;
-                    *len -= 1;
-                    *bytes -= e.size_bytes();
-                }
-                keep
-            });
-            !bucket.is_empty()
-        });
-        removed
+        let buckets = &mut self.buckets;
+        self.stored.purge(now, |stored| {
+            buckets.retain(|_, bucket| {
+                bucket.retain(|e| stored.keep(e, now));
+                !bucket.is_empty()
+            })
+        })
     }
 
     fn for_candidates(&self, probe: Probe, f: &mut dyn FnMut(&Element)) {
@@ -229,11 +266,11 @@ impl JoinState for HashState {
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.stored.len
     }
 
     fn bytes(&self) -> usize {
-        self.bytes
+        self.stored.bytes
     }
 
     fn impl_name(&self) -> &'static str {
@@ -251,8 +288,7 @@ impl JoinState for HashState {
 #[derive(Default)]
 pub struct OrderedState {
     tree: BTreeMap<u64, Vec<Element>>,
-    len: usize,
-    bytes: usize,
+    stored: Stored,
 }
 
 impl OrderedState {
@@ -267,27 +303,18 @@ impl JoinState for OrderedState {
         let Some(k) = key.as_float() else {
             panic!("ordered state requires a numeric join key");
         };
-        self.bytes += element.size_bytes();
-        self.len += 1;
+        self.stored.insert(&element);
         self.tree.entry(float_ord(k)).or_default().push(element);
     }
 
     fn purge_expired(&mut self, now: Timestamp) -> usize {
-        let mut removed = 0;
-        let (len, bytes) = (&mut self.len, &mut self.bytes);
-        self.tree.retain(|_, bucket| {
-            bucket.retain(|e| {
-                let keep = e.is_valid_at(now);
-                if !keep {
-                    removed += 1;
-                    *len -= 1;
-                    *bytes -= e.size_bytes();
-                }
-                keep
-            });
-            !bucket.is_empty()
-        });
-        removed
+        let buckets = &mut self.tree;
+        self.stored.purge(now, |stored| {
+            buckets.retain(|_, bucket| {
+                bucket.retain(|e| stored.keep(e, now));
+                !bucket.is_empty()
+            })
+        })
     }
 
     fn for_candidates(&self, probe: Probe, f: &mut dyn FnMut(&Element)) {
@@ -322,11 +349,11 @@ impl JoinState for OrderedState {
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.stored.len
     }
 
     fn bytes(&self) -> usize {
-        self.bytes
+        self.stored.bytes
     }
 
     fn impl_name(&self) -> &'static str {

@@ -16,20 +16,22 @@ fn schema() -> Schema {
     Schema::of(&[("k", ValueType::Int), ("seq", ValueType::Int)])
 }
 
-/// (side, key, timestamp-increment): arrivals are interleaved over both
-/// inputs with non-decreasing timestamps.
-type Arrival = (bool, i64, u64);
+/// (side, key, timestamp-increment, window): arrivals are interleaved
+/// over both inputs with non-decreasing timestamps. Each carries the
+/// window its upstream window operator had when it passed — a window
+/// resized at runtime hands the join expiries that are not monotone.
+type Arrival = (bool, i64, u64, u64);
 
 /// Brute-force reference: all pairs (l, r) with matching keys and
 /// overlapping validities, where validity = [ts, ts + window).
-fn reference_join(arrivals: &[(bool, i64, u64)], window: u64) -> BTreeSet<(u64, u64)> {
-    // Materialise (timestamp, key, seq) per side.
+fn reference_join(arrivals: &[Arrival]) -> BTreeSet<(u64, u64)> {
+    // Materialise (timestamp, key, seq, window) per side.
     let mut t = 0u64;
     let mut left = Vec::new();
     let mut right = Vec::new();
-    for (i, &(is_left, key, dt)) in arrivals.iter().enumerate() {
+    for (i, &(is_left, key, dt, window)) in arrivals.iter().enumerate() {
         t += dt;
-        let rec = (t, key, i as u64);
+        let rec = (t, key, i as u64, window);
         if is_left {
             left.push(rec);
         } else {
@@ -37,14 +39,14 @@ fn reference_join(arrivals: &[(bool, i64, u64)], window: u64) -> BTreeSet<(u64, 
         }
     }
     let mut out = BTreeSet::new();
-    for &(lt, lk, lseq) in &left {
-        for &(rt, rk, rseq) in &right {
+    for &(lt, lk, lseq, lw) in &left {
+        for &(rt, rk, rseq, rw) in &right {
             if lk != rk {
                 continue;
             }
             // The later element joins if the earlier is still valid at
             // its timestamp (strict expiry: valid while now < ts+window).
-            let (early, late) = if lt <= rt { (lt, rt) } else { (rt, lt) };
+            let (early, window, late) = if lt <= rt { (lt, lw, rt) } else { (rt, rw, lt) };
             if late < early + window {
                 out.insert((lseq, rseq));
             }
@@ -53,7 +55,7 @@ fn reference_join(arrivals: &[(bool, i64, u64)], window: u64) -> BTreeSet<(u64, 
     out
 }
 
-fn run_join(arrivals: &[Arrival], window: u64, state: StateImpl) -> BTreeSet<(u64, u64)> {
+fn run_join(arrivals: &[Arrival], state: StateImpl) -> BTreeSet<(u64, u64)> {
     let m = NodeMonitors::new(2);
     let mut join = SlidingWindowJoin::new(
         JoinPredicate::EqAttr { left: 0, right: 0 },
@@ -65,7 +67,7 @@ fn run_join(arrivals: &[Arrival], window: u64, state: StateImpl) -> BTreeSet<(u6
     let mut results = BTreeSet::new();
     let mut t = 0u64;
     let mut out = Vec::new();
-    for (i, &(is_left, key, dt)) in arrivals.iter().enumerate() {
+    for (i, &(is_left, key, dt, window)) in arrivals.iter().enumerate() {
         t += dt;
         let e = Element::new(tuple([Value::Int(key), Value::Int(i as i64)]), Timestamp(t))
             .with_window(TimeSpan(window));
@@ -84,19 +86,20 @@ fn run_join(arrivals: &[Arrival], window: u64, state: StateImpl) -> BTreeSet<(u6
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// List- and hash-based joins both equal the brute-force reference.
+    /// List-, hash- and ordered-state joins all equal the brute-force
+    /// reference, whatever order the stored elements expire in (the
+    /// purge's no-scan fast path must never keep an expired element).
     #[test]
     fn join_matches_reference_model(
         arrivals in proptest::collection::vec(
-            (prop::bool::ANY, 0i64..5, 0u64..15), 1..60),
-        window in 1u64..40,
+            (prop::bool::ANY, 0i64..5, 0u64..15, 1u64..40), 1..60),
     ) {
-        let expect = reference_join(&arrivals, window);
-        let list = run_join(&arrivals, window, StateImpl::List);
+        let expect = reference_join(&arrivals);
+        let list = run_join(&arrivals, StateImpl::List);
         prop_assert_eq!(&list, &expect, "list join differs from reference");
-        let hash = run_join(&arrivals, window, StateImpl::Hash);
+        let hash = run_join(&arrivals, StateImpl::Hash);
         prop_assert_eq!(&hash, &expect, "hash join differs from reference");
-        let ordered = run_join(&arrivals, window, StateImpl::Ordered);
+        let ordered = run_join(&arrivals, StateImpl::Ordered);
         prop_assert_eq!(&ordered, &expect, "ordered join differs from reference");
     }
 
@@ -195,25 +198,34 @@ proptest! {
     }
 
     /// A windowed count aggregate equals the number of elements whose
-    /// validity covers the current arrival.
+    /// validity covers the current arrival, and its `state_bytes` gauge
+    /// equals a recount of those elements after every arrival.
     #[test]
     fn window_count_matches_reference(
         gaps in proptest::collection::vec(0u64..20, 1..50),
         window in 1u64..50,
     ) {
-        let mut agg = WindowAggregate::new(AggKind::Count, 0, NodeMonitors::new(1));
-        let mut times = Vec::new();
+        let monitors = NodeMonitors::new(1);
+        monitors.state_bytes.activate();
+        let mut agg = WindowAggregate::new(AggKind::Count, 0, monitors.clone());
+        let mut seen: Vec<Element> = Vec::new();
         let mut t = 0u64;
         for (i, dt) in gaps.iter().enumerate() {
             t += dt;
-            times.push(t);
-            let e = Element::new(tuple([Value::Int(i as i64)]), Timestamp(t))
-                .with_window(TimeSpan(window));
+            // Payloads of different sizes, so a miscounted element shows.
+            let e = Element::new(
+                tuple([Value::Int(i as i64), Value::str("x".repeat(i % 5))]),
+                Timestamp(t),
+            )
+            .with_window(TimeSpan(window));
+            seen.push(e.clone());
             let mut out = Vec::new();
             agg.process(0, &e, Timestamp(t), &mut out);
             let got = out[0].payload[0].as_float().unwrap();
-            let expect = times.iter().filter(|&&ts| t < ts + window).count() as f64;
-            prop_assert_eq!(got, expect, "at t={}", t);
+            let valid = || seen.iter().filter(|e| e.is_valid_at(Timestamp(t)));
+            prop_assert_eq!(got, valid().count() as f64, "at t={}", t);
+            let recount: usize = valid().map(|e| e.size_bytes()).sum();
+            prop_assert_eq!(monitors.state_bytes.value(), recount as f64, "at t={}", t);
         }
     }
 }
