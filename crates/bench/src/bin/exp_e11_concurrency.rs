@@ -2,11 +2,11 @@
 //! metadata access.
 //!
 //! A query runs on the multi-threaded wall-clock executor while reader
-//! threads hammer its metadata. The experiment reports (a) the processing
-//! throughput with metadata readers off and on — the cost of the locking
-//! scheme — and (b) an isolation check: every versioned read must be
-//! internally consistent, and within one periodic window all readers see
-//! one version.
+//! threads hammer its metadata. The experiment is a contract check: every
+//! run processes elements, and no reader ever sees an isolation violation
+//! (a version going backwards, or a positive version without a value).
+//! The element and read counts it prints are wall-clock figures; the
+//! benchmark, not this binary, is where a speed number comes from.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -80,6 +80,14 @@ fn main() {
     ]);
     for (readers, workers) in [(0usize, 4usize), (2, 4), (8, 4), (8, 1)] {
         let (processed, reads, violations) = run(readers, workers);
+        assert!(
+            processed > 0,
+            "{readers} readers, {workers} workers: nothing ran"
+        );
+        assert_eq!(
+            violations, 0,
+            "{readers} readers, {workers} workers: isolation violated"
+        );
         table.row(vec![
             readers.to_string(),
             workers.to_string(),
@@ -90,8 +98,7 @@ fn main() {
     }
     table.print();
     println!(
-        "\nThroughput degrades only mildly under heavy concurrent metadata \
-         access (item-level read-write locks), and no isolation violations \
-         occur."
+        "\nContract held: every run processed elements while readers hammered \
+         its metadata, and no reader saw an isolation violation."
     );
 }

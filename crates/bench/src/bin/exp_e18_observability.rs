@@ -5,14 +5,15 @@
 //! (handler count, compute rate, deadline misses) and to the engine's
 //! probe items (channel backlog, worker utilization). The time series is
 //! exported as CSV into `results/` and the final values are rendered in
-//! Prometheus text exposition format.
+//! Prometheus text exposition format. Contract: the recorded channel
+//! backlog never exceeds the executor's bound, [`WORK_CHANNEL_CAPACITY`].
 
 use std::time::Duration;
 
 use streammeta_bench::harness;
 use streammeta_bench::scenarios::wall_filter_query;
 use streammeta_core::{MetadataKey, META_NODE};
-use streammeta_engine::{run_threaded_with, EngineProbes, ENGINE_NODE};
+use streammeta_engine::{run_threaded_with, EngineProbes, ENGINE_NODE, WORK_CHANNEL_CAPACITY};
 use streammeta_profiler::Recorder;
 use streammeta_time::{TimeSpan, WorkerPool};
 
@@ -33,6 +34,7 @@ fn main() {
         .expect("input_rate");
 
     let mut recorder = Recorder::new(manager.clone());
+    let mut backlog = None;
     for (label, node, item) in [
         ("meta_handlers", META_NODE, "meta.handlers"),
         ("meta_computes_rate", META_NODE, "meta.computes_rate"),
@@ -49,9 +51,12 @@ fn main() {
             "engine.worker_utilization",
         ),
     ] {
-        recorder
+        let series = recorder
             .track(label, MetadataKey::new(node, item))
             .expect(item);
+        if label == "queue_elements" {
+            backlog = Some(series);
+        }
     }
 
     let pool = WorkerPool::start(manager.periodic().clone(), clock.clone(), 1);
@@ -71,6 +76,18 @@ fn main() {
     println!(
         "processed {} elements from {} source elements\n",
         stats.processed, stats.source_elements
+    );
+
+    let backlog = recorder.series(backlog.expect("tracked above"));
+    let peak = backlog.iter().filter_map(|(_, v)| *v).fold(0.0, f64::max);
+    assert!(
+        peak <= WORK_CHANNEL_CAPACITY as f64,
+        "recorded backlog {peak} above the channel bound {WORK_CHANNEL_CAPACITY}"
+    );
+    println!(
+        "channel backlog stayed within its bound of {WORK_CHANNEL_CAPACITY} work items \
+         in all {} samples\n",
+        backlog.len()
     );
 
     let csv = recorder.to_csv();

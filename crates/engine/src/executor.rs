@@ -7,22 +7,21 @@
 //! the due periodic metadata updates. Everything is deterministic, so the
 //! paper's anomaly tables reproduce exactly.
 //!
-//! What an element's way through the graph depends on — which node
-//! consumes a queue, on which port, and which queues its outputs go to —
-//! is compiled into a [`Plan`] once per topology change
-//! ([`QueryGraph::generation`]), so the per-element path is a scheduler
-//! decision, one queue lookup and indexed accesses from there on.
+//! The element path is the shared [`Plan`], recompiled on the first tick
+//! after a topology change ([`QueryGraph::generation`]), so the
+//! per-element path is a scheduler decision, one queue lookup and indexed
+//! accesses from there on.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use streammeta_core::{NodeId, PartitionedMetadataPlane};
-use streammeta_graph::{NodeKind, NodeSlot, QueryGraph};
+use streammeta_core::PartitionedMetadataPlane;
+use streammeta_graph::QueryGraph;
 use streammeta_streams::Element;
 use streammeta_time::{Clock, TimeSpan, Timestamp, VirtualClock};
 
+use crate::plan::Plan;
 use crate::probes::EngineProbes;
-use crate::queues::{QueueKey, QueueSet};
+use crate::queues::QueueSet;
 use crate::scheduler::{FifoScheduler, Scheduler};
 use crate::shedder::LoadShedder;
 
@@ -57,91 +56,6 @@ impl EngineStats {
             0.0
         } else {
             self.queue_integral_elements as f64 / self.ticks as f64
-        }
-    }
-}
-
-/// A node with the queues its output fans out to, as [`QueueSet`]
-/// indices in wiring order.
-struct Stage {
-    slot: Arc<NodeSlot>,
-    /// The input port the stage's queue feeds (0 for a source).
-    port: usize,
-    downstream: Vec<usize>,
-}
-
-/// The element path of one graph generation.
-#[derive(Default)]
-struct Plan {
-    /// The [`QueryGraph::generation`] the plan was compiled at (`None`
-    /// before the first tick).
-    generation: Option<u64>,
-    /// The sources, in node-id order.
-    sources: Vec<Stage>,
-    /// The consumer of every queue, indexed like the [`QueueSet`].
-    consumers: Vec<Stage>,
-}
-
-impl Plan {
-    /// Compiles the plan of `graph` as it is now, registering a queue per
-    /// wired edge and discarding the queues (and queued elements) of
-    /// consumers that are gone.
-    fn compile(graph: &QueryGraph, queues: &mut QueueSet) -> Plan {
-        // Read first: a change racing with the compilation leaves a
-        // generation that is already behind, and the next tick recompiles.
-        let generation = graph.generation();
-        let slots: BTreeMap<NodeId, Arc<NodeSlot>> = graph
-            .nodes()
-            .into_iter()
-            .filter_map(|id| Some((id, graph.get(id)?)))
-            .collect();
-        // An edge whose consumer is not in `slots` belongs to a node
-        // being inserted right now; the generation moves when it is.
-        let edges = |slot: &NodeSlot| -> Vec<QueueKey> {
-            let mut edges = slot.downstream();
-            edges.retain(|(node, _)| slots.contains_key(node));
-            edges
-        };
-        queues.retain(|(node, _)| slots.contains_key(&node));
-        for slot in slots.values() {
-            for edge in edges(slot) {
-                queues.ensure(edge);
-            }
-        }
-        let stage = |slot: &Arc<NodeSlot>, port: usize| Stage {
-            slot: slot.clone(),
-            port,
-            downstream: edges(slot)
-                .into_iter()
-                .map(|edge| queues.index_of(edge).expect("registered above"))
-                .collect(),
-        };
-        Plan {
-            generation: Some(generation),
-            sources: slots
-                .values()
-                .filter(|slot| slot.kind == NodeKind::Source)
-                .map(|slot| stage(slot, 0))
-                .collect(),
-            consumers: queues
-                .keys()
-                .map(|(node, port)| stage(&slots[&node], port))
-                .collect(),
-        }
-    }
-
-    /// Moves `elements` into the queues downstream of `from`: a clone per
-    /// edge but the last, which gets the element itself.
-    fn fan_out(from: &Stage, queues: &mut QueueSet, elements: &mut Vec<Element>) {
-        let Some((&last, rest)) = from.downstream.split_last() else {
-            elements.clear();
-            return;
-        };
-        for e in elements.drain(..) {
-            for &queue in rest {
-                queues.push_at(queue, e.clone());
-            }
-            queues.push_at(last, e);
         }
     }
 }
@@ -282,7 +196,7 @@ impl VirtualEngine {
                     }
                 });
             }
-            Plan::fan_out(source, &mut self.queues, &mut self.scratch);
+            Plan::fan_out(source, &mut self.scratch, |q, e| self.queues.push_at(q, e));
         }
 
         // 2. Drain queues under the scheduling strategy.
@@ -305,7 +219,9 @@ impl VirtualEngine {
             if let Some(p) = &self.probes {
                 p.processed.record();
             }
-            Plan::fan_out(consumer, &mut self.queues, &mut self.scratch);
+            Plan::fan_out(consumer, &mut self.scratch, |q, e| {
+                self.queues.push_at(q, e)
+            });
             budget -= 1;
         }
 

@@ -56,13 +56,13 @@ impl Scheduler for RoundRobinScheduler {
     }
 
     fn next(&mut self, queues: &QueueSet) -> Option<QueueKey> {
-        let non_empty: Vec<QueueKey> = queues.non_empty().collect();
-        if non_empty.is_empty() {
+        let non_empty = queues.non_empty().count();
+        if non_empty == 0 {
             return None;
         }
-        let pick = non_empty[self.cursor % non_empty.len()];
+        let pick = queues.non_empty().nth(self.cursor % non_empty);
         self.cursor = self.cursor.wrapping_add(1);
-        Some(pick)
+        pick
     }
 }
 
@@ -132,22 +132,31 @@ impl ChainScheduler {
 /// best-effort ones.
 pub struct QosScheduler {
     graph: std::sync::Arc<QueryGraph>,
+    /// Priorities per node, valid while the graph is at `generation`.
     priorities: HashMap<NodeId, u64>,
+    generation: u64,
 }
 
 impl QosScheduler {
     /// A QoS scheduler over `graph`.
     pub fn new(graph: std::sync::Arc<QueryGraph>) -> Self {
         QosScheduler {
+            generation: graph.generation(),
             graph,
             priorities: HashMap::new(),
         }
     }
 
     /// Highest `qos.priority` among the sinks downstream of `node`
-    /// (0 when none is declared). Cached; topology changes of installed
-    /// queries refresh lazily via [`Self::invalidate`].
+    /// (0 when none is declared). Cached per [`QueryGraph::generation`],
+    /// so installing or removing a query refreshes every priority; the
+    /// `qos.*` items are static, defined once right after their sink.
     pub fn priority(&mut self, node: NodeId) -> u64 {
+        let generation = self.graph.generation();
+        if generation != self.generation {
+            self.priorities.clear();
+            self.generation = generation;
+        }
         if let Some(p) = self.priorities.get(&node) {
             return *p;
         }
@@ -162,18 +171,12 @@ impl QosScheduler {
             if let Ok(sub) = manager.subscribe(MetadataKey::new(n, "qos.priority")) {
                 best = best.max(sub.get().as_u64().unwrap_or(0));
             }
-            for (down, _) in self.graph.downstream(n) {
-                stack.push(down);
+            if let Some(slot) = self.graph.get(n) {
+                stack.extend(slot.downstream().into_iter().map(|(down, _)| down));
             }
         }
         self.priorities.insert(node, best);
         best
-    }
-
-    /// Clears the cached priorities (call after installing or removing
-    /// queries).
-    pub fn invalidate(&mut self) {
-        self.priorities.clear();
     }
 }
 
@@ -183,9 +186,8 @@ impl Scheduler for QosScheduler {
     }
 
     fn next(&mut self, queues: &QueueSet) -> Option<QueueKey> {
-        let non_empty: Vec<QueueKey> = queues.non_empty().collect();
         let mut best: Option<(QueueKey, u64, u64)> = None;
-        for key in non_empty {
+        for key in queues.non_empty() {
             let prio = self.priority(key.0);
             let seq = queues.front_seq(key).expect("non-empty");
             let better = match &best {
@@ -206,9 +208,8 @@ impl Scheduler for ChainScheduler {
     }
 
     fn next(&mut self, queues: &QueueSet) -> Option<QueueKey> {
-        let non_empty: Vec<QueueKey> = queues.non_empty().collect();
         let mut best: Option<(QueueKey, f64, u64)> = None;
-        for key in non_empty {
+        for key in queues.non_empty() {
             let prio = self.priority(key.0);
             let seq = queues.front_seq(key).expect("non-empty");
             let better = match &best {

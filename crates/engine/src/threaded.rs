@@ -5,34 +5,34 @@
 //! threads push elements through the graph (node behaviors serialize on
 //! their own mutexes) while metadata consumers read concurrently through
 //! the manager, and a periodic worker pool fires the due updates.
+//!
+//! The element path is the same compiled [`Plan`] the virtual engine runs.
+//! One feeder thread recompiles it whenever [`QueryGraph::generation`]
+//! moves, so queries installed or removed mid-run are picked up; releases
+//! the due source elements; and sends one `(plan, queue, element)` item
+//! per source edge over a channel bounded at [`WORK_CHANNEL_CAPACITY`]. A
+//! full channel blocks the feeder, which back-pressures source release.
+//! Each worker runs an item to completion, depth-first through the plan
+//! on a local stack, so workers never send and the bound cannot deadlock.
+//! Shutdown is the feeder dropping the channel's only sender: workers
+//! drain what is queued and see the disconnect, whether the feeder
+//! reached its deadline or died.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use streammeta_core::NodeId;
-
-use crate::probes::EngineProbes;
-use streammeta_graph::{NodeKind, QueryGraph};
+use crossbeam::channel::bounded;
+use streammeta_graph::QueryGraph;
 use streammeta_streams::Element;
 use streammeta_time::Clock;
 
-/// One unit of work: deliver `element` to `node`'s `port`.
-struct WorkItem {
-    node: NodeId,
-    port: usize,
-    element: Element,
-}
+use crate::plan::Plan;
+use crate::probes::EngineProbes;
+use crate::queues::QueueSet;
 
-/// What flows through the work channel: an element delivery, or a
-/// shutdown sentinel. The feeder enqueues one sentinel per worker at the
-/// deadline, which lets workers block on `recv` while idle instead of
-/// polling a stop flag on a timeout.
-enum Work {
-    Item(WorkItem),
-    Shutdown,
-}
+/// Work items the feeder may have queued for the workers at once.
+pub const WORK_CHANNEL_CAPACITY: usize = 1024;
 
 /// Counters of one threaded run.
 #[derive(Debug, Clone, Copy, Default)]
@@ -70,146 +70,87 @@ pub fn run_threaded_with(
     if let Some(p) = probes {
         p.workers.set(workers as f64);
     }
-    let queue_gauge = probes.map(|p| p.queue_elements.clone());
-    let busy_gauge = probes.map(|p| p.busy_workers.clone());
-    let processed_counter = probes.map(|p| p.processed.clone());
-    let (tx, rx): (Sender<Work>, Receiver<Work>) = unbounded();
-    let processed = Arc::new(AtomicU64::new(0));
-    let source_elements = Arc::new(AtomicU64::new(0));
-    // Items taken off the channel but not yet fanned back into it. An
-    // empty channel alone does not mean the run is drained: a worker
-    // mid-`process` is about to enqueue downstream elements, and a
-    // worker that exits on the empty-channel snapshot abandons them to
-    // whichever single worker happens to survive. Workers only exit
-    // when the channel is empty AND nothing is in flight.
-    let in_flight = Arc::new(AtomicU64::new(0));
+    let (tx, rx) = bounded::<(Arc<Plan>, usize, Element)>(WORK_CHANNEL_CAPACITY);
+    let processed = AtomicU64::new(0);
+    let source_elements = AtomicU64::new(0);
 
     std::thread::scope(|scope| {
-        // Feeder: release due source elements as wall time passes.
-        {
-            let graph = graph.clone();
-            let clock = clock.clone();
-            let tx = tx.clone();
-            let source_elements = source_elements.clone();
-            let queue_gauge = queue_gauge.clone();
-            scope.spawn(move || {
-                // Name this flame track for the Chrome-trace exporter.
-                graph.manager().label_trace_thread("feeder");
-                let deadline = Instant::now() + duration;
-                let sources: Vec<NodeId> = graph
-                    .nodes()
-                    .into_iter()
-                    .filter(|n| graph.kind(*n) == NodeKind::Source)
-                    .collect();
-                let mut buf = Vec::new();
-                while Instant::now() < deadline {
-                    let now = clock.now();
-                    for &src in &sources {
-                        buf.clear();
-                        graph.pull_source(src, now, &mut buf);
-                        source_elements.fetch_add(buf.len() as u64, Ordering::Relaxed);
-                        for e in buf.drain(..) {
-                            for (node, port) in graph.downstream(src) {
-                                let _ = tx.send(Work::Item(WorkItem {
-                                    node,
-                                    port,
-                                    element: e.clone(),
-                                }));
-                            }
-                        }
-                    }
-                    if let Some(g) = &queue_gauge {
-                        g.set(tx.len() as f64);
-                    }
-                    // Epoch propagation mode: the feeder is the time-slice
-                    // driver — a pending epoch whose oldest update aged
-                    // past `max_delay` flushes here (no-op in the default
-                    // per-event mode).
-                    graph.manager().flush_epoch_if_due(clock.now());
-                    std::thread::sleep(Duration::from_micros(200));
+        // Feeder: owns the only sender (the `drop` at the end moves it in),
+        // so leaving this closure, normally or by unwinding, disconnects
+        // the workers.
+        scope.spawn(|| {
+            // Name this flame track for the Chrome-trace exporter.
+            graph.manager().label_trace_thread("feeder");
+            let deadline = Instant::now() + duration;
+            // The plan's queue indices name edges only; nothing is queued.
+            let mut queues = QueueSet::new();
+            let mut plan = Arc::new(Plan::default());
+            let mut buf = Vec::new();
+            while Instant::now() < deadline {
+                if plan.generation != Some(graph.generation()) {
+                    plan = Arc::new(Plan::compile(graph, &mut queues));
                 }
-                // A single relayed sentinel: the worker that finds the
-                // run drained re-sends it for the next one before
-                // exiting, so it passes through every worker exactly
-                // once. (One sentinel per worker would livelock: each
-                // worker would see the others' sentinels still queued
-                // and never observe an empty channel.)
-                let _ = tx.send(Work::Shutdown);
-            });
-        }
-        // Workers: process items, fanning results back into the channel.
+                let now = clock.now();
+                for source in &plan.sources {
+                    source.slot.pull_source(now, &mut buf);
+                    source_elements.fetch_add(buf.len() as u64, Ordering::Relaxed);
+                    Plan::fan_out(source, &mut buf, |queue, e| {
+                        // Fails only once every worker is gone, and then
+                        // the scope re-raises the panic that took them.
+                        let _ = tx.send((plan.clone(), queue, e));
+                    });
+                }
+                if let Some(p) = probes {
+                    p.queue_elements.set(tx.len() as f64);
+                }
+                // Epoch propagation mode: the feeder is the time-slice
+                // driver — a pending epoch whose oldest update aged past
+                // `max_delay` flushes here (no-op in the default
+                // per-event mode).
+                graph.manager().flush_epoch_if_due(clock.now());
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            drop(tx);
+        });
+        let processed = &processed;
         for worker in 0..workers {
-            let graph = graph.clone();
-            let clock = clock.clone();
             let rx = rx.clone();
-            let tx = tx.clone();
-            let processed = processed.clone();
-            let in_flight = in_flight.clone();
-            let busy_gauge = busy_gauge.clone();
-            let processed_counter = processed_counter.clone();
             scope.spawn(move || {
                 graph
                     .manager()
                     .label_trace_thread(&format!("worker-{worker}"));
+                let mut stack = Vec::new();
                 let mut out = Vec::new();
-                loop {
-                    match rx.recv() {
-                        Ok(Work::Item(item)) => {
-                            in_flight.fetch_add(1, Ordering::SeqCst);
-                            if let Some(g) = &busy_gauge {
-                                g.add(1.0);
-                            }
-                            out.clear();
-                            graph.process(
-                                item.node,
-                                item.port,
-                                &item.element,
-                                clock.now(),
-                                &mut out,
-                            );
-                            processed.fetch_add(1, Ordering::Relaxed);
-                            if let Some(c) = &processed_counter {
-                                c.record();
-                            }
-                            for e in out.drain(..) {
-                                for (node, port) in graph.downstream(item.node) {
-                                    let _ = tx.send(Work::Item(WorkItem {
-                                        node,
-                                        port,
-                                        element: e.clone(),
-                                    }));
-                                }
-                            }
-                            // Decremented only after the downstream
-                            // elements are back in the channel, so the
-                            // exit condition never sees them in neither
-                            // place.
-                            in_flight.fetch_sub(1, Ordering::SeqCst);
-                            if let Some(g) = &busy_gauge {
-                                g.add(-1.0);
-                            }
-                        }
-                        Ok(Work::Shutdown) => {
-                            if rx.is_empty() && in_flight.load(Ordering::SeqCst) == 0 {
-                                // Drained: relay the sentinel to wake the
-                                // next blocked worker, then exit. The last
-                                // relay is dropped with the channel.
-                                let _ = tx.send(Work::Shutdown);
-                                break;
-                            }
-                            // Not drained: a worker mid-`process` is about
-                            // to fan elements back in, or items are still
-                            // queued behind this sentinel. Recirculate it
-                            // and keep draining.
-                            let _ = tx.send(Work::Shutdown);
-                            std::thread::yield_now();
-                        }
-                        Err(_) => break, // all senders gone; nothing can arrive
+                while let Ok((plan, queue, element)) = rx.recv() {
+                    if let Some(p) = probes {
+                        p.busy_workers.add(1.0);
+                    }
+                    let mut done = 0;
+                    stack.push((queue, element));
+                    while let Some((queue, element)) = stack.pop() {
+                        let stage = &plan.consumers[queue];
+                        stage
+                            .slot
+                            .process(stage.port, &element, clock.now(), &mut out);
+                        done += 1;
+                        // Reversed, so the stack pops each queue's
+                        // elements in the order they were produced.
+                        let pushed = stack.len();
+                        Plan::fan_out(stage, &mut out, |q, e| stack.push((q, e)));
+                        stack[pushed..].reverse();
+                    }
+                    processed.fetch_add(done, Ordering::Relaxed);
+                    if let Some(p) = probes {
+                        p.processed.record_n(done);
+                        p.busy_workers.add(-1.0);
                     }
                 }
             });
         }
-        drop(tx);
+        // The workers hold the only receivers: should all of them die, a
+        // feeder blocked on a full channel fails its send instead of
+        // waiting forever.
+        drop(rx);
     });
 
     // Shutdown drain: whatever the epoch queue still holds (a partial
@@ -218,7 +159,7 @@ pub fn run_threaded_with(
     graph.manager().flush_epoch();
 
     ThreadedRunStats {
-        processed: processed.load(Ordering::Relaxed),
-        source_elements: source_elements.load(Ordering::Relaxed),
+        processed: processed.into_inner(),
+        source_elements: source_elements.into_inner(),
     }
 }

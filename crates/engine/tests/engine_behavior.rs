@@ -309,6 +309,32 @@ fn qos_scheduler_prefers_high_priority_queries() {
     );
 }
 
+/// A query installed later that shares an operator raises that
+/// operator's priority: the cache follows the graph's generation.
+#[test]
+fn qos_priority_follows_a_query_installed_later() {
+    use streammeta_engine::QosScheduler;
+    let (_clock, _mgr, graph) = setup(100);
+    let src = graph.source(
+        "s",
+        Box::new(ConstantRate::new(
+            Timestamp(0),
+            TimeSpan(1),
+            TupleGen::Sequence,
+            1,
+        )),
+    );
+    let f = graph.filter("f", src, FilterPredicate::AttrLt { col: 0, bound: 5 }, 1);
+    let (low, _) = graph.sink_count("low", f);
+    graph.set_sink_qos(low, 1, TimeSpan(100));
+    let mut qos = QosScheduler::new(graph.clone());
+    assert_eq!(qos.priority(f), 1);
+
+    let (high, _) = graph.sink_count("high", f);
+    graph.set_sink_qos(high, 10, TimeSpan(100));
+    assert_eq!(qos.priority(f), 10, "the new sink's priority is seen");
+}
+
 #[test]
 fn subscription_churn_keeps_stats_consistent() {
     // Many threads subscribing to and dropping dependency-bearing items

@@ -1,17 +1,16 @@
-//! Shutdown-drain regression test for the threaded executor.
+//! Shutdown-drain regression tests for the threaded executor.
 //!
-//! A worker that has taken an element off the work channel but not yet
-//! enqueued its downstream fan-out holds work that is visible nowhere:
-//! the channel is momentarily empty. Workers that treated "stop flag set
-//! and channel empty" as the exit condition could leave the drain to a
-//! single surviving thread — or, with a lossier channel, abandon
-//! elements outright. The executor therefore tracks in-flight items and
-//! exits only when the channel is empty AND nothing is in flight.
+//! Shutdown is the feeder dropping the work channel's only sender at its
+//! deadline. Workers keep taking items until the channel is empty and
+//! disconnected, and each item runs to completion — through every node
+//! downstream of it — before its worker takes the next, so no element is
+//! left between two workers when the last one exits.
 //!
-//! The test drives a deep fan-out topology (every element visits 11
+//! The fan-out test drives a deep topology (every element visits 11
 //! nodes) through repeated short runs — shutdown happens while the tree
 //! is saturated — and asserts exact element conservation at the moment
-//! `run_threaded` returns.
+//! `run_threaded` returns. The epoch test checks that an update pending
+//! at shutdown is swept before `run_threaded` returns.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -678,11 +678,6 @@ impl QueryGraph {
         self.slot(id).monitors.clone()
     }
 
-    /// The consumers wired to a node's output: `(node, input port)`.
-    pub fn downstream(&self, id: NodeId) -> Vec<(NodeId, usize)> {
-        self.slot(id).downstream()
-    }
-
     /// The topology generation: moves whenever a node is inserted or a
     /// query removed, and at no other time, so whatever was derived from
     /// the nodes and their wiring at an equal generation is still exact.
@@ -701,29 +696,6 @@ impl QueryGraph {
     /// The node's inputs in port order.
     pub fn upstream(&self, id: NodeId) -> Vec<NodeId> {
         self.slot(id).upstream.clone()
-    }
-
-    // ------------------------------------------------------------------
-    // Execution interface (driven by the engine)
-    // ------------------------------------------------------------------
-
-    /// Delivers one element to `node`'s `port` ([`NodeSlot::process`] by
-    /// id).
-    pub fn process(
-        &self,
-        node: NodeId,
-        port: usize,
-        element: &Element,
-        now: Timestamp,
-        out: &mut Vec<Element>,
-    ) {
-        self.slot(node).process(port, element, now, out);
-    }
-
-    /// Releases all of `node`'s source elements with `timestamp <= until`
-    /// into `out` ([`NodeSlot::pull_source`] by id).
-    pub fn pull_source(&self, node: NodeId, until: Timestamp, out: &mut Vec<Element>) {
-        self.slot(node).pull_source(until, out);
     }
 
     /// The next pending source arrival time, if any.

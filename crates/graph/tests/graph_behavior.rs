@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use streammeta_core::{MetadataKey, MetadataManager, MetadataValue, NodeId};
 use streammeta_graph::{
-    AggKind, FilterPredicate, JoinPredicate, MetadataConfig, NodeKind, QueryGraph,
+    AggKind, FilterPredicate, JoinPredicate, MetadataConfig, NodeKind, NodeSlot, QueryGraph,
     SelectivityHandle, StateImpl,
 };
 use streammeta_streams::{tuple, ConstantRate, Element, TupleGen, Value};
@@ -24,13 +24,19 @@ fn setup() -> (Arc<VirtualClock>, Arc<MetadataManager>, QueryGraph) {
     (clock, manager, graph)
 }
 
+/// The live node `id`.
+fn slot(graph: &QueryGraph, id: NodeId) -> Arc<NodeSlot> {
+    graph.get(id).expect("live node")
+}
+
 /// Pushes an element through the graph starting at `node`, following all
 /// downstream edges (depth-first, fine for trees).
 fn push(graph: &QueryGraph, node: NodeId, port: usize, e: &Element, now: Timestamp) {
+    let node = slot(graph, node);
     let mut out = Vec::new();
-    graph.process(node, port, e, now, &mut out);
+    node.process(port, e, now, &mut out);
     for produced in out {
-        for (down, dport) in graph.downstream(node) {
+        for (down, dport) in node.downstream() {
             push(graph, down, dport, &produced, now);
         }
     }
@@ -58,7 +64,7 @@ fn wiring_and_topology_queries() {
     assert_eq!(g.kind(src), NodeKind::Source);
     assert_eq!(g.kind(win), NodeKind::Operator);
     assert_eq!(g.kind(sink), NodeKind::Sink);
-    assert_eq!(g.downstream(src), vec![(win, 0)]);
+    assert_eq!(slot(&g, src).downstream(), vec![(win, 0)]);
     assert_eq!(g.upstream(win), vec![src]);
     assert_eq!(g.name(sink), "sink");
 }
@@ -77,11 +83,11 @@ fn source_pull_respects_virtual_time() {
     );
     assert_eq!(g.next_source_arrival(src), Some(Timestamp(10)));
     let mut out = Vec::new();
-    g.pull_source(src, Timestamp(35), &mut out);
+    slot(&g, src).pull_source(Timestamp(35), &mut out);
     assert_eq!(out.len(), 3); // t=10,20,30
     assert_eq!(g.next_source_arrival(src), Some(Timestamp(40)));
     out.clear();
-    g.pull_source(src, Timestamp(35), &mut out);
+    slot(&g, src).pull_source(Timestamp(35), &mut out);
     assert!(out.is_empty(), "nothing new before t=40");
 }
 
@@ -120,7 +126,7 @@ fn elements_flow_through_window_join_to_sink() {
     for ts in [10u64, 20, 30] {
         for (src, win) in [(s1, w1), (s2, w2)] {
             let mut pulled = Vec::new();
-            g.pull_source(src, Timestamp(ts), &mut pulled);
+            slot(&g, src).pull_source(Timestamp(ts), &mut pulled);
             for e in &pulled {
                 push(&g, win, 0, e, Timestamp(ts));
             }
@@ -129,8 +135,8 @@ fn elements_flow_through_window_join_to_sink() {
     // Same sequence numbers arrive at the same instants: seq 0,1,2 match.
     assert_eq!(out.len(), 3);
     let m = g.monitors(join);
-    assert_eq!(g.downstream(w1), vec![(join, 0)]);
-    assert_eq!(g.downstream(w2), vec![(join, 1)]);
+    assert_eq!(slot(&g, w1).downstream(), vec![(join, 0)]);
+    assert_eq!(slot(&g, w2).downstream(), vec![(join, 1)]);
     // Join results carry concatenated payloads.
     assert_eq!(out.snapshot()[0].payload.len(), 2);
     drop(m);
@@ -155,7 +161,7 @@ fn filter_selectivity_is_measured() {
     // 10 elements, seq 0..9, five pass (< 5).
     for ts in 1..=10u64 {
         let mut pulled = Vec::new();
-        g.pull_source(src, Timestamp(ts), &mut pulled);
+        slot(&g, src).pull_source(Timestamp(ts), &mut pulled);
         for e in &pulled {
             push(&g, f, 0, e, Timestamp(ts));
         }
@@ -259,7 +265,7 @@ fn window_resize_fires_event_for_dependents() {
     assert_eq!(ws.get(), MetadataValue::Span(TimeSpan(40)));
     // New elements get the new validity.
     let mut out = Vec::new();
-    g.process(win, 0, &int_elem(1, 200), Timestamp(200), &mut out);
+    slot(&g, win).process(0, &int_elem(1, 200), Timestamp(200), &mut out);
     assert_eq!(out[0].expiry, Timestamp(240));
 }
 
