@@ -9,8 +9,8 @@
 //!
 //! The element path is the shared [`Plan`], recompiled on the first tick
 //! after a topology change ([`QueryGraph::generation`]), so the
-//! per-element path is a scheduler decision, one queue lookup and indexed
-//! accesses from there on.
+//! per-element path is a scheduler decision, which names a queue by its
+//! index, and indexed accesses from there on.
 
 use std::sync::Arc;
 
@@ -202,10 +202,9 @@ impl VirtualEngine {
         // 2. Drain queues under the scheduling strategy.
         let mut budget = self.ops_per_tick.unwrap_or(usize::MAX);
         while budget > 0 {
-            let Some(key) = self.scheduler.next(&self.queues) else {
+            let Some(queue) = self.scheduler.next(&self.queues) else {
                 break;
             };
-            let queue = self.queues.index_of(key).expect("scheduler picked a queue");
             let item = self
                 .queues
                 .pop_at(queue)

@@ -5,9 +5,9 @@
 //! Chain scheduler minimises and the load shedder bounds.
 //!
 //! Queues are stored densely, sorted by [`QueueKey`], so a queue has an
-//! index the engine's plan can hold on to; only registering or discarding
-//! a queue moves indices. The globally oldest element is found through an
-//! arrival log rather than a scan.
+//! index the engine's plan and the schedulers work with; only registering
+//! or discarding a queue moves indices. The globally oldest element is
+//! found through an arrival log rather than a scan.
 
 use std::collections::VecDeque;
 
@@ -173,10 +173,15 @@ impl QueueSet {
         self.arrivals.len()
     }
 
-    /// The queue holding the globally oldest element, if any — the FIFO
-    /// scheduling decision in O(1).
-    pub fn oldest(&self) -> Option<QueueKey> {
-        self.arrivals.front().map(|&(_, q)| self.queues[q].key)
+    /// The index of the queue holding the globally oldest element, if any
+    /// — the FIFO scheduling decision in O(1).
+    pub fn oldest(&self) -> Option<usize> {
+        self.arrivals.front().map(|&(_, q)| q)
+    }
+
+    /// The key of the queue at `index`.
+    pub fn key(&self, index: usize) -> QueueKey {
+        self.queues[index].key
     }
 
     /// Length of one queue.
@@ -199,21 +204,19 @@ impl QueueSet {
         self.total_bytes
     }
 
-    /// The arrival sequence number at the front of `key`'s queue.
-    pub fn front_seq(&self, key: QueueKey) -> Option<u64> {
-        self.queues[self.index_of(key)?]
-            .items
-            .front()
-            .map(|q| q.seq)
+    /// The arrival sequence number at the front of the queue at `index`.
+    pub fn front_seq(&self, index: usize) -> Option<u64> {
+        self.queues[index].items.front().map(|q| q.seq)
     }
 
-    /// Iterates over the keys of all non-empty queues (deterministic
-    /// order).
-    pub fn non_empty(&self) -> impl Iterator<Item = QueueKey> + '_ {
+    /// Iterates over the indices of all non-empty queues, ascending (so in
+    /// key order).
+    pub fn non_empty(&self) -> impl Iterator<Item = usize> + '_ {
         self.queues
             .iter()
-            .filter(|q| !q.items.is_empty())
-            .map(|q| q.key)
+            .enumerate()
+            .filter(|(_, q)| !q.items.is_empty())
+            .map(|(index, _)| index)
     }
 
     /// All registered keys (deterministic order).
@@ -263,27 +266,28 @@ mod tests {
         qs.push((NodeId(1), 0), elem(1));
         qs.push((NodeId(2), 0), elem(2));
         qs.push((NodeId(1), 0), elem(3));
-        assert_eq!(qs.front_seq((NodeId(1), 0)), Some(0));
-        assert_eq!(qs.front_seq((NodeId(2), 0)), Some(1));
-        let non_empty: Vec<_> = qs.non_empty().collect();
+        assert_eq!(qs.front_seq(0), Some(0));
+        assert_eq!(qs.front_seq(1), Some(1));
+        let non_empty: Vec<_> = qs.non_empty().map(|i| qs.key(i)).collect();
         assert_eq!(non_empty, vec![(NodeId(1), 0), (NodeId(2), 0)]);
     }
 
     #[test]
     fn oldest_tracks_fronts_across_pushes_and_pops() {
         let mut qs = QueueSet::new();
-        assert_eq!(qs.oldest(), None);
+        let oldest = |qs: &QueueSet| qs.oldest().map(|i| qs.key(i));
+        assert_eq!(oldest(&qs), None);
         qs.push((NodeId(2), 0), elem(0)); // seq 0
         qs.push((NodeId(1), 0), elem(1)); // seq 1
         qs.push((NodeId(2), 0), elem(2)); // seq 2
-        assert_eq!(qs.oldest(), Some((NodeId(2), 0)));
+        assert_eq!(oldest(&qs), Some((NodeId(2), 0)));
         qs.pop((NodeId(2), 0));
         // Queue 2's new front is seq 2; queue 1's front seq 1 is older.
-        assert_eq!(qs.oldest(), Some((NodeId(1), 0)));
+        assert_eq!(oldest(&qs), Some((NodeId(1), 0)));
         qs.pop((NodeId(1), 0));
-        assert_eq!(qs.oldest(), Some((NodeId(2), 0)));
+        assert_eq!(oldest(&qs), Some((NodeId(2), 0)));
         qs.pop((NodeId(2), 0));
-        assert_eq!(qs.oldest(), None);
+        assert_eq!(oldest(&qs), None);
     }
 
     #[test]
@@ -295,7 +299,7 @@ mod tests {
             qs.push(busy, elem(v));
             qs.pop(busy);
             assert!(qs.arrival_log_len() <= 2 * qs.total_elements() + 64);
-            assert_eq!(qs.oldest(), Some(pinned));
+            assert_eq!(qs.oldest(), qs.index_of(pinned));
         }
         qs.pop(pinned);
         assert_eq!(qs.oldest(), None);
@@ -316,12 +320,12 @@ mod tests {
         assert_ne!(qs.index_of(c), c_index, "indices behind b moved up");
         assert_eq!(qs.total_elements(), 2);
         assert_eq!(qs.total_bytes(), 16);
-        assert_eq!(qs.oldest(), Some(a));
+        assert_eq!(qs.oldest(), qs.index_of(a));
         qs.pop(a);
-        assert_eq!(qs.oldest(), Some(c));
+        assert_eq!(qs.oldest(), qs.index_of(c));
         // Registering in front of a queue keeps its log entries on it.
         qs.push((NodeId(0), 0), elem(4));
-        assert_eq!(qs.oldest(), Some(c));
+        assert_eq!(qs.oldest(), qs.index_of(c));
     }
 
     #[test]

@@ -19,15 +19,16 @@ use std::collections::HashMap;
 use streammeta_core::{MetadataKey, MetadataManager, NodeId, Subscription};
 use streammeta_graph::QueryGraph;
 
-use crate::queues::{QueueKey, QueueSet};
+use crate::queues::QueueSet;
 
 /// Picks the next queue to serve.
 pub trait Scheduler: Send {
     /// Strategy name (for experiment tables).
     fn name(&self) -> &'static str;
 
-    /// Chooses a non-empty queue, or `None` if all are empty.
-    fn next(&mut self, queues: &QueueSet) -> Option<QueueKey>;
+    /// Chooses a non-empty queue by its [`QueueSet`] index, or `None` if
+    /// all are empty.
+    fn next(&mut self, queues: &QueueSet) -> Option<usize>;
 }
 
 /// Global FIFO: the queue holding the oldest element wins.
@@ -39,7 +40,7 @@ impl Scheduler for FifoScheduler {
         "fifo"
     }
 
-    fn next(&mut self, queues: &QueueSet) -> Option<QueueKey> {
+    fn next(&mut self, queues: &QueueSet) -> Option<usize> {
         queues.oldest()
     }
 }
@@ -55,7 +56,7 @@ impl Scheduler for RoundRobinScheduler {
         "round-robin"
     }
 
-    fn next(&mut self, queues: &QueueSet) -> Option<QueueKey> {
+    fn next(&mut self, queues: &QueueSet) -> Option<usize> {
         let non_empty = queues.non_empty().count();
         if non_empty == 0 {
             return None;
@@ -185,20 +186,20 @@ impl Scheduler for QosScheduler {
         "qos"
     }
 
-    fn next(&mut self, queues: &QueueSet) -> Option<QueueKey> {
-        let mut best: Option<(QueueKey, u64, u64)> = None;
-        for key in queues.non_empty() {
-            let prio = self.priority(key.0);
-            let seq = queues.front_seq(key).expect("non-empty");
+    fn next(&mut self, queues: &QueueSet) -> Option<usize> {
+        let mut best: Option<(usize, u64, u64)> = None;
+        for queue in queues.non_empty() {
+            let prio = self.priority(queues.key(queue).0);
+            let seq = queues.front_seq(queue).expect("non-empty");
             let better = match &best {
                 None => true,
                 Some((_, bp, bs)) => prio > *bp || (prio == *bp && seq < *bs),
             };
             if better {
-                best = Some((key, prio, seq));
+                best = Some((queue, prio, seq));
             }
         }
-        best.map(|(k, _, _)| k)
+        best.map(|(queue, _, _)| queue)
     }
 }
 
@@ -207,11 +208,11 @@ impl Scheduler for ChainScheduler {
         "chain"
     }
 
-    fn next(&mut self, queues: &QueueSet) -> Option<QueueKey> {
-        let mut best: Option<(QueueKey, f64, u64)> = None;
-        for key in queues.non_empty() {
-            let prio = self.priority(key.0);
-            let seq = queues.front_seq(key).expect("non-empty");
+    fn next(&mut self, queues: &QueueSet) -> Option<usize> {
+        let mut best: Option<(usize, f64, u64)> = None;
+        for queue in queues.non_empty() {
+            let prio = self.priority(queues.key(queue).0);
+            let seq = queues.front_seq(queue).expect("non-empty");
             let better = match &best {
                 None => true,
                 Some((_, bp, bs)) => {
@@ -219,10 +220,10 @@ impl Scheduler for ChainScheduler {
                 }
             };
             if better {
-                best = Some((key, prio, seq));
+                best = Some((queue, prio, seq));
             }
         }
-        best.map(|(k, _, _)| k)
+        best.map(|(queue, _, _)| queue)
     }
 }
 
@@ -242,9 +243,9 @@ mod tests {
         qs.push((NodeId(2), 0), elem());
         qs.push((NodeId(1), 0), elem());
         let mut s = FifoScheduler;
-        assert_eq!(s.next(&qs), Some((NodeId(2), 0)));
+        assert_eq!(s.next(&qs).map(|i| qs.key(i)), Some((NodeId(2), 0)));
         qs.pop((NodeId(2), 0));
-        assert_eq!(s.next(&qs), Some((NodeId(1), 0)));
+        assert_eq!(s.next(&qs).map(|i| qs.key(i)), Some((NodeId(1), 0)));
         qs.pop((NodeId(1), 0));
         assert_eq!(s.next(&qs), None);
     }
@@ -258,8 +259,8 @@ mod tests {
         }
         let mut s = RoundRobinScheduler::default();
         let a = s.next(&qs).unwrap();
-        qs.pop(a);
+        qs.pop_at(a);
         let b = s.next(&qs).unwrap();
-        assert_ne!(a.0, b.0, "alternates between queues");
+        assert_ne!(qs.key(a).0, qs.key(b).0, "alternates between queues");
     }
 }

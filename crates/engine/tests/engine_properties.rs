@@ -33,8 +33,8 @@ proptest! {
             Box::new(FifoScheduler)
         };
         let mut popped = Vec::new();
-        while let Some(key) = scheduler.next(&qs) {
-            let item = qs.pop(key).expect("scheduler picked non-empty");
+        while let Some(queue) = scheduler.next(&qs) {
+            let item = qs.pop_at(queue).expect("scheduler picked non-empty");
             popped.push(item.element.payload[0].as_int().unwrap());
             prop_assert!(qs.arrival_log_len() <= 2 * qs.total_elements() + 64);
         }
@@ -68,13 +68,20 @@ proptest! {
             } else {
                 let _ = qs.pop(key);
             }
+            // The naive scan goes by key, so it checks the index API too.
+            for k in qs.keys() {
+                prop_assert_eq!(qs.index_of(k).map(|i| qs.key(i)), Some(k));
+            }
             let naive = qs
-                .non_empty()
-                .min_by_key(|k| qs.front_seq(*k).expect("non-empty"));
-            prop_assert_eq!(qs.oldest(), naive);
+                .keys()
+                .filter(|&k| qs.len(k) > 0)
+                .min_by_key(|&k| qs.index_of(k).and_then(|i| qs.front_seq(i)));
+            prop_assert_eq!(qs.oldest().map(|i| qs.key(i)), naive);
             prop_assert!(qs.arrival_log_len() <= 2 * qs.total_elements() + 64);
-            let non_empty: Vec<_> = qs.non_empty().collect();
+            let non_empty: Vec<_> = qs.non_empty().map(|i| qs.key(i)).collect();
             prop_assert!(non_empty.windows(2).all(|w| w[0] < w[1]), "{:?}", non_empty);
+            let by_key: Vec<_> = qs.keys().filter(|&k| qs.len(k) > 0).collect();
+            prop_assert_eq!(non_empty, by_key);
         }
     }
 
@@ -89,8 +96,8 @@ proptest! {
         }
         let mut scheduler = FifoScheduler;
         let mut last = -1i64;
-        while let Some(key) = scheduler.next(&qs) {
-            let v = qs.pop(key).unwrap().element.payload[0].as_int().unwrap();
+        while let Some(queue) = scheduler.next(&qs) {
+            let v = qs.pop_at(queue).unwrap().element.payload[0].as_int().unwrap();
             prop_assert!(v > last, "out of order: {v} after {last}");
             last = v;
         }

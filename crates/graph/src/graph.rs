@@ -14,7 +14,7 @@
 //! and every topology change moves [`QueryGraph::generation`].
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -70,6 +70,10 @@ pub struct NodeSlot {
     upstream: Vec<NodeId>,
     /// Activatable value-distribution probes over output columns.
     histograms: RwLock<Vec<(usize, Arc<HistogramMonitor>)>>,
+    /// Set once `histograms` is non-empty, so a node without probes pays a
+    /// flag load per element instead of the lock. Stored with `Release`
+    /// after the push, loaded with `Acquire`.
+    has_histograms: AtomicBool,
 }
 
 impl NodeSlot {
@@ -108,7 +112,7 @@ impl NodeSlot {
     }
 
     fn observe_histograms(&self, produced: &[Element]) {
-        if produced.is_empty() {
+        if produced.is_empty() || !self.has_histograms.load(Ordering::Acquire) {
             return;
         }
         let histograms = self.histograms.read();
@@ -240,6 +244,7 @@ impl QueryGraph {
             downstream: RwLock::new(Vec::new()),
             upstream: inputs.to_vec(),
             histograms: RwLock::new(Vec::new()),
+            has_histograms: AtomicBool::new(false),
         });
         {
             let nodes = self.nodes.read();
@@ -570,6 +575,7 @@ impl QueryGraph {
         let slot = self.slot(node);
         let monitor = HistogramMonitor::new(lo, hi, buckets);
         slot.histograms.write().push((col, monitor.clone()));
+        slot.has_histograms.store(true, Ordering::Release);
         let item = format!("value_distribution.{col}");
         slot.registry.define(
             ItemDef::periodic(item.clone(), self.cfg.rate_window)

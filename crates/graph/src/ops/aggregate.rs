@@ -1,9 +1,23 @@
 //! Sliding-window aggregation.
 //!
-//! Maintains the multiset of currently valid (windowed) elements and emits
-//! the aggregate value on every arrival.
+//! Emits the aggregate of the currently valid (windowed) elements on every
+//! arrival, at a cost that does not grow with the window. The state is an
+//! expiry-ordered deque with one entry per valid element, so an arrival
+//! whose window was shrunk at runtime expires in order with the rest and
+//! no expired element is left behind a live one. The value is maintained
+//! under the insert and expire deltas instead of being recomputed:
+//!
+//! * COUNT is the deque's length;
+//! * SUM and AVG keep an exact running sum of the column ([`ExactSum`]),
+//!   so the result is the correctly rounded window sum — bit for bit the
+//!   left-to-right fold's wherever that fold is exact, e.g. integer
+//!   columns whose window has Σ|v| ≤ 2^53. AVG divides by the number of
+//!   numeric values (non-numeric ones, `NULL` among them, are ignored as
+//!   in SQL); a window without one averages to 0;
+//! * MIN and MAX keep the column's values as a multiset in total order,
+//!   skipping NaN as `f64::min`/`f64::max` do; an empty one gives +∞/−∞.
 
-use std::collections::VecDeque;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use streammeta_streams::{Element, Schema, Value, ValueType};
@@ -11,6 +25,9 @@ use streammeta_time::Timestamp;
 
 use crate::monitors::NodeMonitors;
 use crate::node::NodeBehavior;
+use crate::ops::exact_sum::ExactSum;
+use crate::ops::expiry::ExpiryDeque;
+use crate::ops::state::{float_from_ord, float_ord};
 
 /// Aggregation functions over one column.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -19,7 +36,7 @@ pub enum AggKind {
     Count,
     /// Sum of the column.
     Sum,
-    /// Arithmetic mean of the column.
+    /// Arithmetic mean of the column's numeric values.
     Avg,
     /// Minimum of the column.
     Min,
@@ -39,13 +56,55 @@ impl AggKind {
     }
 }
 
+/// What the window keeps of one valid element.
+struct Entry {
+    bytes: usize,
+    /// The aggregated column as a float, if numeric.
+    value: Option<f64>,
+}
+
+/// The aggregate's running value.
+enum Accumulator {
+    /// COUNT reads the window's length.
+    Count,
+    /// SUM and AVG.
+    Sum(ExactSum),
+    /// MIN and MAX: the non-NaN values by [`float_ord`], with their
+    /// multiplicities.
+    Extremes(BTreeMap<u64, usize>),
+}
+
+impl Accumulator {
+    fn update(&mut self, v: f64, insert: bool) {
+        match self {
+            Accumulator::Count => {}
+            Accumulator::Sum(sum) if insert => sum.insert(v),
+            Accumulator::Sum(sum) => sum.remove(v),
+            Accumulator::Extremes(_) if v.is_nan() => {}
+            Accumulator::Extremes(values) if insert => {
+                *values.entry(float_ord(v)).or_default() += 1
+            }
+            Accumulator::Extremes(values) => {
+                let key = float_ord(v);
+                match values.get_mut(&key) {
+                    Some(n) if *n > 1 => *n -= 1,
+                    _ => {
+                        values.remove(&key);
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// The windowed aggregate behavior.
 pub struct WindowAggregate {
     kind: AggKind,
     col: usize,
-    state: VecDeque<Element>,
-    /// Sum of `size_bytes()` over `state`.
+    state: ExpiryDeque<Entry>,
+    /// Sum of `size_bytes()` over the valid elements.
     state_bytes: usize,
+    acc: Accumulator,
     monitors: Arc<NodeMonitors>,
     schema: Schema,
 }
@@ -56,42 +115,42 @@ impl WindowAggregate {
         WindowAggregate {
             kind,
             col,
-            state: VecDeque::new(),
+            state: ExpiryDeque::default(),
             state_bytes: 0,
+            acc: match kind {
+                AggKind::Count => Accumulator::Count,
+                AggKind::Sum | AggKind::Avg => Accumulator::Sum(ExactSum::default()),
+                AggKind::Min | AggKind::Max => Accumulator::Extremes(BTreeMap::new()),
+            },
             monitors,
             schema: Schema::of(&[(kind.label(), ValueType::Float)]),
         }
     }
 
     fn purge(&mut self, now: Timestamp) {
-        while let Some(front) = self.state.front() {
-            if front.is_valid_at(now) {
-                break;
+        while let Some(gone) = self.state.pop_due(now) {
+            self.state_bytes -= gone.bytes;
+            if let Some(v) = gone.value {
+                self.acc.update(v, false);
             }
-            self.state_bytes -= front.size_bytes();
-            self.state.pop_front();
         }
     }
 
     fn value(&self) -> f64 {
-        let vals = || {
-            self.state
-                .iter()
-                .filter_map(|e| e.payload.get(self.col).and_then(|v| v.as_float()))
-        };
-        match self.kind {
-            AggKind::Count => self.state.len() as f64,
-            AggKind::Sum => vals().sum(),
-            AggKind::Avg => {
-                let n = self.state.len();
-                if n == 0 {
-                    0.0
-                } else {
-                    vals().sum::<f64>() / n as f64
-                }
-            }
-            AggKind::Min => vals().fold(f64::INFINITY, f64::min),
-            AggKind::Max => vals().fold(f64::NEG_INFINITY, f64::max),
+        match (self.kind, &self.acc) {
+            (AggKind::Count, _) => self.state.len() as f64,
+            (AggKind::Sum, Accumulator::Sum(sum)) => sum.sum(),
+            (AggKind::Avg, Accumulator::Sum(sum)) => match sum.count() {
+                0 => 0.0,
+                n => sum.sum() / n as f64,
+            },
+            (AggKind::Min, Accumulator::Extremes(values)) => values
+                .first_key_value()
+                .map_or(f64::INFINITY, |(&k, _)| float_from_ord(k)),
+            (AggKind::Max, Accumulator::Extremes(values)) => values
+                .last_key_value()
+                .map_or(f64::NEG_INFINITY, |(&k, _)| float_from_ord(k)),
+            _ => unreachable!("`new` picks the accumulator by the kind"),
         }
     }
 }
@@ -104,11 +163,14 @@ impl NodeBehavior for WindowAggregate {
         _now: Timestamp,
         out: &mut Vec<Element>,
     ) {
-        // The expiry-ordered purge assumes equal validities (one upstream
-        // window), which makes the front-of-queue check sufficient.
         self.purge(element.timestamp);
-        self.state_bytes += element.size_bytes();
-        self.state.push_back(element.clone());
+        let value = element.payload.get(self.col).and_then(Value::as_float);
+        if let Some(v) = value {
+            self.acc.update(v, true);
+        }
+        let bytes = element.size_bytes();
+        self.state_bytes += bytes;
+        self.state.push(element.expiry, Entry { bytes, value });
         self.monitors.state_len.set(self.state.len() as f64);
         self.monitors.state_bytes.set(self.state_bytes as f64);
         out.push(Element {
@@ -162,6 +224,21 @@ mod tests {
         assert_eq!(feed(AggKind::Avg, &inputs, 100), vec![1.0, 2.0, 2.0]);
         assert_eq!(feed(AggKind::Min, &inputs, 100), vec![1.0, 1.0, 1.0]);
         assert_eq!(feed(AggKind::Max, &inputs, 100), vec![1.0, 3.0, 3.0]);
+    }
+
+    #[test]
+    fn avg_ignores_non_numeric_values() {
+        let mut agg = WindowAggregate::new(AggKind::Avg, 0, NodeMonitors::new(1));
+        let mut avg = |v: Value, ts: u64| {
+            let e = Element::new(tuple([v]), Timestamp(ts)).with_window(TimeSpan(100));
+            let mut out = Vec::new();
+            agg.process(0, &e, Timestamp(ts), &mut out);
+            out[0].payload[0].as_float().unwrap()
+        };
+        assert_eq!(avg(Value::Null, 0), 0.0, "no numeric value yet");
+        assert_eq!(avg(Value::Int(2), 1), 2.0, "NULL is not a zero");
+        assert_eq!(avg(Value::str("x"), 2), 2.0);
+        assert_eq!(avg(Value::Int(5), 3), 3.5);
     }
 
     #[test]

@@ -2,6 +2,8 @@
 
 pub mod aggregate;
 pub mod count_window;
+mod exact_sum;
+mod expiry;
 pub mod filter;
 pub mod join;
 pub mod map;

@@ -21,6 +21,8 @@ use streammeta_core::{ItemDef, MetadataModule, MetadataValue, RegistryScope};
 use streammeta_streams::Element;
 use streammeta_time::Timestamp;
 
+use crate::ops::expiry::ExpiryDeque;
+
 /// Nominal extra work units a hash state spends per insert or probe
 /// (hashing cost). This is what makes list vs. hash a genuine trade-off:
 /// hash states prune candidates but pay a constant per operation.
@@ -64,14 +66,23 @@ pub enum Probe {
 }
 
 /// Total order over `f64` bits (standard sign-flip trick), used by the
-/// ordered state's B-tree.
-fn float_ord(v: f64) -> u64 {
+/// ordered state's B-tree and the MIN/MAX aggregates.
+pub(crate) fn float_ord(v: f64) -> u64 {
     let bits = v.to_bits();
     if bits >> 63 == 1 {
         !bits
     } else {
         bits | (1 << 63)
     }
+}
+
+/// The inverse of [`float_ord`].
+pub(crate) fn float_from_ord(ord: u64) -> f64 {
+    f64::from_bits(if ord >> 63 == 1 {
+        ord & !(1 << 63)
+    } else {
+        !ord
+    })
 }
 
 /// Storage for the valid elements of one join input.
@@ -110,64 +121,78 @@ pub trait JoinState: Send {
 }
 
 /// What every state implementation keeps about its stored elements: the
-/// totals the metadata items report, and the watermark that lets
-/// [`JoinState::purge_expired`] return without a scan.
-struct Stored {
+/// totals the metadata items report, and the `(expiry, bucket)` of each
+/// element, so [`JoinState::purge_expired`] visits only the buckets that
+/// hold an expired element.
+struct Stored<B> {
     len: usize,
     bytes: usize,
-    /// No stored element expires before this instant (a lower bound: exact
-    /// after a purge scan, only lowered by inserts in between).
-    min_expiry: Timestamp,
+    expiries: ExpiryDeque<B>,
+    /// Scratch for the buckets one purge visits.
+    due: Vec<B>,
 }
 
-impl Default for Stored {
+impl<B> Default for Stored<B> {
     fn default() -> Self {
         Stored {
             len: 0,
             bytes: 0,
-            min_expiry: Timestamp::MAX,
+            expiries: ExpiryDeque::default(),
+            due: Vec::new(),
         }
     }
 }
 
-impl Stored {
-    fn insert(&mut self, element: &Element) {
+impl<B: Copy + Ord> Stored<B> {
+    fn insert(&mut self, bucket: B, element: &Element) {
         self.len += 1;
         self.bytes += element.size_bytes();
-        self.min_expiry = self.min_expiry.min(element.expiry);
+        self.expiries.push(element.expiry, bucket);
     }
 
-    /// Purges at `now`; returns how many elements left. Unless the
-    /// watermark shows that nothing can have expired, `scan` has to
-    /// `retain` every stored element by [`Self::keep`], which re-derives
-    /// the watermark.
-    fn purge(&mut self, now: Timestamp, scan: impl FnOnce(&mut Stored)) -> usize {
-        if now < self.min_expiry {
+    /// Purges at `now`; returns how many elements left, one per due
+    /// entry. `purge_bucket` drops a bucket's expired elements and returns
+    /// their bytes ([`drop_expired`]); it is called once per bucket that
+    /// holds one.
+    fn purge(&mut self, now: Timestamp, mut purge_bucket: impl FnMut(B) -> usize) -> usize {
+        while let Some(bucket) = self.expiries.pop_due(now) {
+            self.due.push(bucket);
+        }
+        let expired = self.due.len();
+        if expired == 0 {
             return 0;
         }
-        let before = self.len;
-        self.min_expiry = Timestamp::MAX;
-        scan(self);
-        before - self.len
+        self.due.sort_unstable();
+        self.due.dedup();
+        for &bucket in &self.due {
+            self.bytes -= purge_bucket(bucket);
+        }
+        self.due.clear();
+        self.len -= expired;
+        expired
     }
+}
 
-    fn keep(&mut self, element: &Element, now: Timestamp) -> bool {
-        let keep = element.is_valid_at(now);
-        if keep {
-            self.min_expiry = self.min_expiry.min(element.expiry);
-        } else {
-            self.len -= 1;
-            self.bytes -= element.size_bytes();
+/// Drops the elements of `bucket` whose validity ended at `now`; returns
+/// their bytes.
+fn drop_expired(bucket: &mut Vec<Element>, now: Timestamp) -> usize {
+    let mut bytes = 0;
+    bucket.retain(|e| {
+        let keep = e.is_valid_at(now);
+        if !keep {
+            bytes += e.size_bytes();
         }
         keep
-    }
+    });
+    bytes
 }
 
 /// Unordered list state: inserts are O(1), probes scan everything.
 #[derive(Default)]
 pub struct ListState {
     elements: Vec<Element>,
-    stored: Stored,
+    /// One bucket: the whole list.
+    stored: Stored<()>,
 }
 
 impl ListState {
@@ -179,14 +204,13 @@ impl ListState {
 
 impl JoinState for ListState {
     fn insert(&mut self, _key: JoinKey, element: Element) {
-        self.stored.insert(&element);
+        self.stored.insert((), &element);
         self.elements.push(element);
     }
 
     fn purge_expired(&mut self, now: Timestamp) -> usize {
         let elements = &mut self.elements;
-        self.stored
-            .purge(now, |stored| elements.retain(|e| stored.keep(e, now)))
+        self.stored.purge(now, |()| drop_expired(elements, now))
     }
 
     fn for_candidates(&self, _probe: Probe, f: &mut dyn FnMut(&Element)) {
@@ -213,7 +237,7 @@ impl JoinState for ListState {
 #[derive(Default)]
 pub struct HashState {
     buckets: HashMap<i64, Vec<Element>>,
-    stored: Stored,
+    stored: Stored<i64>,
 }
 
 impl HashState {
@@ -230,17 +254,21 @@ impl JoinState for HashState {
         let JoinKey::Int(key) = key else {
             panic!("hash state requires an equi-join key");
         };
-        self.stored.insert(&element);
+        self.stored.insert(key, &element);
         self.buckets.entry(key).or_default().push(element);
     }
 
     fn purge_expired(&mut self, now: Timestamp) -> usize {
         let buckets = &mut self.buckets;
-        self.stored.purge(now, |stored| {
-            buckets.retain(|_, bucket| {
-                bucket.retain(|e| stored.keep(e, now));
-                !bucket.is_empty()
-            })
+        self.stored.purge(now, |key| {
+            let Some(bucket) = buckets.get_mut(&key) else {
+                return 0;
+            };
+            let dropped = drop_expired(bucket, now);
+            if bucket.is_empty() {
+                buckets.remove(&key);
+            }
+            dropped
         })
     }
 
@@ -288,7 +316,7 @@ impl JoinState for HashState {
 #[derive(Default)]
 pub struct OrderedState {
     tree: BTreeMap<u64, Vec<Element>>,
-    stored: Stored,
+    stored: Stored<u64>,
 }
 
 impl OrderedState {
@@ -303,17 +331,22 @@ impl JoinState for OrderedState {
         let Some(k) = key.as_float() else {
             panic!("ordered state requires a numeric join key");
         };
-        self.stored.insert(&element);
-        self.tree.entry(float_ord(k)).or_default().push(element);
+        let key = float_ord(k);
+        self.stored.insert(key, &element);
+        self.tree.entry(key).or_default().push(element);
     }
 
     fn purge_expired(&mut self, now: Timestamp) -> usize {
         let buckets = &mut self.tree;
-        self.stored.purge(now, |stored| {
-            buckets.retain(|_, bucket| {
-                bucket.retain(|e| stored.keep(e, now));
-                !bucket.is_empty()
-            })
+        self.stored.purge(now, |key| {
+            let Some(bucket) = buckets.get_mut(&key) else {
+                return 0;
+            };
+            let dropped = drop_expired(bucket, now);
+            if bucket.is_empty() {
+                buckets.remove(&key);
+            }
+            dropped
         })
     }
 
@@ -556,6 +589,9 @@ mod tests {
         let vals = [-10.5, -0.0, 0.0, 0.25, 3.0, 1e9];
         for w in vals.windows(2) {
             assert!(float_ord(w[0]) <= float_ord(w[1]), "{} vs {}", w[0], w[1]);
+        }
+        for v in vals.into_iter().chain([f64::NEG_INFINITY, f64::MAX]) {
+            assert_eq!(float_from_ord(float_ord(v)).to_bits(), v.to_bits());
         }
     }
 
