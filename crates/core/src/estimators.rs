@@ -202,7 +202,8 @@ mod tests {
 
     #[test]
     fn window_delta_counts_per_window() {
-        let c = Counter::always_on();
+        let c = Counter::new();
+        c.activate();
         let d = WindowDelta::new(c.clone());
         c.record_n(5);
         assert_eq!(d.take_delta(), 5);
@@ -213,7 +214,8 @@ mod tests {
 
     #[test]
     fn window_delta_zero_window_consumes() {
-        let c = Counter::always_on();
+        let c = Counter::new();
+        c.activate();
         let d = WindowDelta::new(c.clone());
         c.record_n(4);
         assert_eq!(d.rate_over(TimeSpan::ZERO), None);
@@ -223,7 +225,8 @@ mod tests {
 
     #[test]
     fn interval_rate_measures_since_last_access() {
-        let c = Counter::always_on();
+        let c = Counter::new();
+        c.activate();
         let r = IntervalRate::new(c.clone(), Timestamp(0));
         c.record_n(5);
         assert_eq!(r.sample(Timestamp(50)), 0.1);

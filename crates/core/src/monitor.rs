@@ -29,9 +29,13 @@ impl Activation {
     fn activate(&self) {
         self.users.fetch_add(1, Ordering::Relaxed);
     }
+    /// Saturating: deactivating an inactive monitor is a no-op, so an
+    /// unmatched call cannot wrap the count into a monitor that records
+    /// forever.
     fn deactivate(&self) {
-        let prev = self.users.fetch_sub(1, Ordering::Relaxed);
-        debug_assert!(prev > 0, "monitor deactivated more often than activated");
+        let _ = self
+            .users
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1));
     }
 }
 
@@ -46,14 +50,6 @@ impl Counter {
     /// A new, inactive counter.
     pub fn new() -> Arc<Self> {
         Arc::new(Self::default())
-    }
-
-    /// A counter that is permanently active (for information the node
-    /// needs anyway, independent of metadata).
-    pub fn always_on() -> Arc<Self> {
-        let c = Self::default();
-        c.activation.activate();
-        Arc::new(c)
     }
 
     /// Records one event if the monitor is active. Hot path.
@@ -111,13 +107,6 @@ impl Gauge {
     /// A new, inactive gauge reading 0.0.
     pub fn new() -> Arc<Self> {
         Arc::new(Self::default())
-    }
-
-    /// A gauge that is permanently active.
-    pub fn always_on() -> Arc<Self> {
-        let g = Self::default();
-        g.activation.activate();
-        Arc::new(g)
     }
 
     /// Stores `v` if the monitor is active. Hot path.
@@ -206,10 +195,14 @@ mod tests {
     }
 
     #[test]
-    fn always_on_counter() {
-        let c = Counter::always_on();
+    fn over_deactivation_leaves_the_monitor_inactive() {
+        let c = Counter::new();
+        c.activate();
+        c.deactivate();
+        c.deactivate();
         c.record();
-        assert_eq!(c.value(), 1);
+        assert_eq!(c.value(), 0);
+        assert!(!c.is_active());
     }
 
     #[test]
@@ -225,7 +218,8 @@ mod tests {
 
     #[test]
     fn gauge_add_from_many_threads() {
-        let g = Gauge::always_on();
+        let g = Gauge::new();
+        g.activate();
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
@@ -240,7 +234,8 @@ mod tests {
 
     #[test]
     fn counter_concurrent_records() {
-        let c = Counter::always_on();
+        let c = Counter::new();
+        c.activate();
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {

@@ -62,23 +62,88 @@ fn subscribe_includes_transitive_dependencies() {
     assert_eq!(mgr.handler_count(), 0);
 }
 
+/// A chain `c{depth} -> ... -> c1 -> c0` of triggered items over a
+/// static leaf `c0`: `depth + 1` items.
+fn chain_of(node: NodeId, depth: usize) -> Arc<NodeRegistry> {
+    let reg = NodeRegistry::new(node);
+    reg.define(ItemDef::static_value("c0", 1.0));
+    for i in 1..=depth {
+        let below = format!("c{}", i - 1);
+        reg.define(
+            ItemDef::triggered(format!("c{i}"))
+                .dep_local(below.clone())
+                .compute(move |ctx| ctx.dep(&below))
+                .build(),
+        );
+    }
+    reg
+}
+
+/// Compute-function evaluations summed over `keys`' handlers.
+fn computes(mgr: &MetadataManager, keys: &[MetadataKey]) -> u64 {
+    keys.iter()
+        .map(|k| mgr.handler_stats(k).map_or(0, |s| s.computes))
+        .sum()
+}
+
 #[test]
 fn shared_handlers_are_reference_counted() {
+    // Section 2.1: a subscription to an already-provided item returns the
+    // existing handler and increments a counter, so sharing costs no
+    // maintenance.
     let (_clock, mgr) = setup();
-    mgr.attach_node(chain_registry(NodeId(1)));
-    let s1 = mgr.subscribe(key(1, "a")).unwrap();
-    let s2 = mgr.subscribe(key(1, "a")).unwrap();
-    assert_eq!(mgr.subscription_count(&key(1, "a")), 2);
+    mgr.attach_node(chain_of(NodeId(1), 4));
+    let chain: Vec<_> = (0..=4).map(|i| key(1, &format!("c{i}"))).collect();
+    let s1 = mgr.subscribe(key(1, "c4")).unwrap();
+    // The first subscription includes exactly the five-item chain.
+    assert_eq!(mgr.handler_count(), 5);
+    assert!(chain.iter().all(|k| mgr.is_included(k)));
+    let computes_before = computes(&mgr, &chain);
+    let s2 = mgr.subscribe(key(1, "c4")).unwrap();
+    assert_eq!(mgr.subscription_count(&key(1, "c4")), 2);
+    // The second is a refcount bump: nothing is computed.
+    assert_eq!(computes(&mgr, &chain), computes_before);
     // Dependencies are shared, not duplicated: the second traversal stops
-    // at the already-provided item `a`, so `b` keeps one reference (from
-    // `a`'s single handler).
-    assert_eq!(mgr.handler_count(), 3);
-    assert_eq!(mgr.subscription_count(&key(1, "b")), 1);
+    // at the already-provided item `c4`, so `c3` keeps one reference (from
+    // `c4`'s single handler).
+    assert_eq!(mgr.handler_count(), 5);
+    assert_eq!(mgr.subscription_count(&key(1, "c3")), 1);
     drop(s1);
-    assert_eq!(mgr.handler_count(), 3);
-    assert_eq!(mgr.subscription_count(&key(1, "a")), 1);
+    assert_eq!(mgr.handler_count(), 5);
+    assert_eq!(mgr.subscription_count(&key(1, "c4")), 1);
     drop(s2);
     assert_eq!(mgr.handler_count(), 0);
+}
+
+#[test]
+fn inclusion_covers_exactly_the_dependency_closure() {
+    // Section 2.4: one subscription includes the item plus every
+    // transitive dependency, and dropping it excludes them all again.
+    // A star `top -> {l0 .. l(fanout-1)}` over static leaves.
+    fn star(node: NodeId, fanout: usize) -> Arc<NodeRegistry> {
+        let reg = NodeRegistry::new(node);
+        let mut top = ItemDef::triggered("top");
+        for i in 0..fanout {
+            reg.define(ItemDef::static_value(format!("l{i}"), i as f64));
+            top = top.dep_local(format!("l{i}"));
+        }
+        reg.define(top.compute(|_| MetadataValue::F64(0.0)).build());
+        reg
+    }
+    for size in [1usize, 4, 16, 64] {
+        let shapes = [
+            ("chain depth", chain_of(NodeId(1), size), format!("c{size}")),
+            ("fan-out", star(NodeId(1), size), "top".to_string()),
+        ];
+        for (shape, reg, top) in shapes {
+            let (_clock, mgr) = setup();
+            mgr.attach_node(reg);
+            let sub = mgr.subscribe(key(1, &top)).unwrap();
+            assert_eq!(mgr.handler_count(), size + 1, "{shape} {size}");
+            drop(sub);
+            assert_eq!(mgr.handler_count(), 0, "{shape} {size}");
+        }
+    }
 }
 
 #[test]
@@ -677,6 +742,107 @@ fn stats_track_accesses_and_updates() {
     let hs = mgr.handler_stats(&key(1, "a")).unwrap();
     assert_eq!(hs.accesses, 2);
     assert_eq!(hs.subscriptions, 1);
+}
+
+#[test]
+fn read_and_change_costs_follow_the_update_mechanism() {
+    // Figures 4 and 5: a periodic or triggered read is a snapshot load
+    // (no compute); an on-demand read recomputes on every access; one
+    // change of the source recomputes each triggered dependent once.
+    let (_clock, mgr) = setup();
+    let reg = NodeRegistry::new(NodeId(1));
+    let cell = Arc::new(AtomicU64::new(0));
+    let c2 = cell.clone();
+    reg.define(
+        ItemDef::on_demand("base")
+            .compute(move |_| MetadataValue::U64(c2.load(Ordering::SeqCst)))
+            .build(),
+    );
+    for def in [
+        ItemDef::periodic("periodic", TimeSpan(10)),
+        ItemDef::triggered("triggered"),
+        ItemDef::on_demand("on_demand"),
+    ] {
+        reg.define(def.dep_local("base").compute(|ctx| ctx.dep("base")).build());
+    }
+    mgr.attach_node(reg);
+    let subs: Vec<_> = ["periodic", "triggered", "on_demand"]
+        .iter()
+        .map(|name| mgr.subscribe(key(1, name)).unwrap())
+        .collect();
+    let count = |name: &str| computes(&mgr, &[key(1, name)]);
+    let (periodic, triggered, on_demand) =
+        (count("periodic"), count("triggered"), count("on_demand"));
+    for sub in &subs {
+        for _ in 0..5 {
+            sub.get();
+        }
+    }
+    assert_eq!(count("periodic"), periodic);
+    assert_eq!(count("triggered"), triggered);
+    assert_eq!(count("on_demand"), on_demand + 5);
+
+    cell.fetch_add(1, Ordering::SeqCst);
+    mgr.notify_changed(key(1, "base"));
+    assert_eq!(count("periodic"), periodic);
+    assert_eq!(count("triggered"), triggered + 1);
+    assert_eq!(count("on_demand"), on_demand + 5);
+    assert_eq!(subs[1].get(), MetadataValue::U64(1));
+}
+
+#[test]
+fn triggered_maintenance_pays_per_change_periodic_per_boundary() {
+    // Section 3.2.3: a triggered item recomputes only when its input
+    // changes; a periodic one at every window boundary regardless.
+    const FANOUT: usize = 10;
+    let (clock, mgr) = setup();
+    let reg = NodeRegistry::new(NodeId(1));
+    let cell = Arc::new(AtomicU64::new(0));
+    let c2 = cell.clone();
+    reg.define(
+        ItemDef::on_demand("base")
+            .compute(move |_| MetadataValue::U64(c2.load(Ordering::SeqCst)))
+            .build(),
+    );
+    for i in 0..FANOUT {
+        reg.define(
+            ItemDef::triggered(format!("t{i}"))
+                .dep_local("base")
+                .compute(|ctx| ctx.dep("base"))
+                .build(),
+        );
+        reg.define(
+            ItemDef::periodic(format!("p{i}"), TimeSpan(10))
+                .dep_local("base")
+                .compute(|ctx| ctx.dep("base"))
+                .build(),
+        );
+    }
+    mgr.attach_node(reg);
+    let triggered: Vec<_> = (0..FANOUT).map(|i| key(1, &format!("t{i}"))).collect();
+    let periodic: Vec<_> = (0..FANOUT).map(|i| key(1, &format!("p{i}"))).collect();
+    let _subs: Vec<_> = triggered
+        .iter()
+        .chain(&periodic)
+        .map(|k| mgr.subscribe(k.clone()).unwrap())
+        .collect();
+    let (t0, p0) = (computes(&mgr, &triggered), computes(&mgr, &periodic));
+
+    // Three changes of the source, no time passing.
+    let changes = 3;
+    for _ in 0..changes {
+        cell.fetch_add(1, Ordering::SeqCst);
+        mgr.notify_changed(key(1, "base"));
+    }
+    assert_eq!(computes(&mgr, &triggered), t0 + changes * FANOUT as u64);
+    assert_eq!(computes(&mgr, &periodic), p0);
+
+    // 100 units with no change: ten boundaries of the 10-unit window.
+    let boundaries = 10;
+    clock.advance(TimeSpan(100));
+    mgr.periodic().advance_to(clock.now());
+    assert_eq!(computes(&mgr, &triggered), t0 + changes * FANOUT as u64);
+    assert_eq!(computes(&mgr, &periodic), p0 + boundaries * FANOUT as u64);
 }
 
 #[test]
