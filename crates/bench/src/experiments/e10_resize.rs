@@ -7,8 +7,10 @@
 //! validity (intra-node dependency) and, through inter-node dependencies,
 //! the join's CPU and memory estimates — without any polling.
 
-use streammeta_bench::scenarios::join_scenario;
-use streammeta_bench::table::{f, Table};
+use std::io::{self, Write};
+
+use crate::scenarios::join_scenario;
+use crate::table::{f, Table};
 use streammeta_core::MetadataKey;
 use streammeta_costmodel::{
     ResourceManager, ESTIMATED_CPU_USAGE, ESTIMATED_ELEMENT_VALIDITY, ESTIMATED_MEMORY_USAGE,
@@ -16,7 +18,7 @@ use streammeta_costmodel::{
 use streammeta_engine::VirtualEngine;
 use streammeta_time::Timestamp;
 
-fn main() {
+pub fn e10(out: &mut dyn Write) -> io::Result<()> {
     // λ = 0.5 per input, windows 400 → unmanaged state estimate
     // 2·(0.5·400·8) = 3200 bytes.
     let s = join_scenario(2, 400, 200);
@@ -43,7 +45,10 @@ fn main() {
 
     let mut engine = VirtualEngine::new(s.graph.clone(), s.clock.clone());
 
-    println!("E10 — adaptive window resizing (memory budget {budget} bytes)\n");
+    writeln!(
+        out,
+        "E10 — adaptive window resizing (memory budget {budget} bytes)\n"
+    )?;
     let mut table = Table::new(&[
         "t",
         "window size",
@@ -67,11 +72,12 @@ fn main() {
             f(rm.scale()),
         ]);
     }
-    table.print();
-    println!(
+    table.write(out)?;
+    writeln!(
+        out,
         "\nAfter the measurements warm up, the manager shrinks the windows \
          until the estimated memory respects the budget; the measured state \
          follows as old elements expire. Every resize re-triggers the \
          estimates through the dependency graph (no polling)."
-    );
+    )
 }

@@ -5,15 +5,17 @@
 //! threads hammer its metadata. The experiment is a contract check: every
 //! run processes elements, and no reader ever sees an isolation violation
 //! (a version going backwards, or a positive version without a value).
-//! The element and read counts it prints are wall-clock figures; the
-//! benchmark, not this binary, is where a speed number comes from.
+//! The element and read counts it prints are wall-clock figures, so it
+//! has no committed transcript; the benchmark, not this experiment, is
+//! where a speed number comes from.
 
+use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use streammeta_bench::scenarios::wall_filter_query;
-use streammeta_bench::table::Table;
+use crate::scenarios::wall_filter_query;
+use crate::table::Table;
 use streammeta_core::MetadataKey;
 use streammeta_engine::run_threaded;
 use streammeta_time::WorkerPool;
@@ -69,8 +71,11 @@ fn run(readers: usize, workers: usize) -> (u64, u64, u64) {
     )
 }
 
-fn main() {
-    println!("E11 — concurrent element processing and metadata access (500ms wall runs)\n");
+pub fn e11(out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
+        "E11 — concurrent element processing and metadata access (500ms wall runs)\n"
+    )?;
     let mut table = Table::new(&[
         "metadata readers",
         "engine workers",
@@ -96,9 +101,10 @@ fn main() {
             violations.to_string(),
         ]);
     }
-    table.print();
-    println!(
+    table.write(out)?;
+    writeln!(
+        out,
         "\nContract held: every run processed elements while readers hammered \
          its metadata, and no reader saw an isolation violation."
-    );
+    )
 }

@@ -11,15 +11,17 @@
 //! periodic rate; C = a coarse rate that another consumer may already
 //! maintain. The table shows which handlers exist in each situation.
 
-use streammeta_bench::harness::virtual_stack;
-use streammeta_bench::table::Table;
+use std::io::{self, Write};
+
+use crate::harness::virtual_stack;
+use crate::table::Table;
 use streammeta_core::{DepTarget, Dependency, ItemDef, MetadataKey, MetadataValue};
 use streammeta_engine::VirtualEngine;
 use streammeta_graph::define_rate_item;
 use streammeta_streams::{ConstantRate, TupleGen};
 use streammeta_time::{TimeSpan, Timestamp};
 
-fn main() {
+pub fn e12(out: &mut dyn Write) -> io::Result<()> {
     let (clock, manager, graph) = virtual_stack(100);
     let src = graph.source(
         "s",
@@ -68,7 +70,7 @@ fn main() {
             .build(),
     );
 
-    println!("E12 — dynamic dependency resolution (A from B or C)\n");
+    writeln!(out, "E12 — dynamic dependency resolution (A from B or C)\n")?;
     let mut table = Table::new(&[
         "situation",
         "A (smoothed_rate)",
@@ -118,9 +120,10 @@ fn main() {
         ]);
     }
     record("all dropped", &mut table);
-    table.print();
-    println!(
+    table.write(out)?;
+    writeln!(
+        out,
         "\nWith C already maintained, including A avoids the expensive \
          fine-grained item B entirely — one periodic task instead of two."
-    );
+    )
 }

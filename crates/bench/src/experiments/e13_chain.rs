@@ -8,10 +8,11 @@
 //! FIFO and round-robin. Midway, the selectivities *swap*; Chain adapts
 //! because it reads them through live metadata subscriptions.
 
+use std::io::{self, Write};
 use std::sync::Arc;
 
-use streammeta_bench::harness::virtual_stack;
-use streammeta_bench::table::{f, Table};
+use crate::harness::virtual_stack;
+use crate::table::{f, Table};
 use streammeta_core::{MetadataKey, MetadataManager};
 use streammeta_engine::{
     ChainScheduler, FifoScheduler, RoundRobinScheduler, Scheduler, VirtualEngine,
@@ -90,8 +91,11 @@ fn run(which: &str) -> (f64, usize, u64) {
     )
 }
 
-fn main() {
-    println!("E13 — Chain scheduling on selectivity metadata (bursty load, budget 2 ops/tick)\n");
+pub fn e13(out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
+        "E13 — Chain scheduling on selectivity metadata (bursty load, budget 2 ops/tick)\n"
+    )?;
     let mut table = Table::new(&[
         "scheduler",
         "avg queued elements",
@@ -107,11 +111,12 @@ fn main() {
             processed.to_string(),
         ]);
     }
-    table.print();
-    println!(
+    table.write(out)?;
+    writeln!(
+        out,
         "\nChain keeps the time-averaged queue occupancy lowest by serving \
          the most destructive operators first — and keeps doing so after \
          the mid-run selectivity swap, because it subscribes to the live \
          selectivity metadata."
-    );
+    )
 }

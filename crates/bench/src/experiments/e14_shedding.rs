@@ -7,8 +7,10 @@
 //! probability to keep total usage (state + queues) near a byte budget.
 //! The timeline compares a run without shedding against the managed run.
 
-use streammeta_bench::harness::virtual_stack;
-use streammeta_bench::table::{f, Table};
+use std::io::{self, Write};
+
+use crate::harness::virtual_stack;
+use crate::table::{f, Table};
 use streammeta_core::MetadataKey;
 use streammeta_engine::{LoadShedder, VirtualEngine};
 use streammeta_graph::{JoinPredicate, StateImpl};
@@ -60,9 +62,12 @@ fn run(budget: Option<usize>) -> Timeline {
     timeline
 }
 
-fn main() {
+pub fn e14(out: &mut dyn Write) -> io::Result<()> {
     let budget = 4_000usize;
-    println!("E14 — metadata-driven load shedding (join state budget {budget} bytes)\n");
+    writeln!(
+        out,
+        "E14 — metadata-driven load shedding (join state budget {budget} bytes)\n"
+    )?;
     let unmanaged = run(None);
     let managed = run(Some(budget));
     let mut table = Table::new(&[
@@ -79,14 +84,16 @@ fn main() {
             f(managed.drop_prob[i]),
         ]);
     }
-    table.print();
-    println!(
+    table.write(out)?;
+    writeln!(
+        out,
         "\nelements dropped by the shedder: {} (unmanaged run: 0)",
         managed.dropped
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "Without shedding the join state grows to the full window volume; \
          the shedder, subscribed to the join's memory_usage item, holds \
          usage near the budget."
-    );
+    )
 }

@@ -8,8 +8,10 @@
 //! compared against the filter's *measured* selectivity — for a uniform
 //! and for a Zipf-skewed stream, across several predicate bounds.
 
-use streammeta_bench::harness::virtual_stack;
-use streammeta_bench::table::{f, Table};
+use std::io::{self, Write};
+
+use crate::harness::virtual_stack;
+use crate::table::{f, Table};
 use streammeta_core::MetadataKey;
 use streammeta_costmodel::{install_filter_selectivity_estimate, PredicateBound};
 use streammeta_engine::VirtualEngine;
@@ -51,8 +53,11 @@ fn run(skewed: bool, bound: i64) -> (f64, f64) {
     )
 }
 
-fn main() {
-    println!("E15 — selectivity estimation from value-distribution metadata\n");
+pub fn e15(out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
+        "E15 — selectivity estimation from value-distribution metadata\n"
+    )?;
     let mut table = Table::new(&[
         "distribution",
         "predicate",
@@ -75,10 +80,11 @@ fn main() {
             ]);
         }
     }
-    table.print();
-    println!(
+    table.write(out)?;
+    writeln!(
+        out,
         "\nThe histogram-derived estimate tracks the measured selectivity \
          for both distributions; under skew the uniform-assumption guess \
          (bound/domain) would be far off, the distribution metadata is not."
-    );
+    )
 }

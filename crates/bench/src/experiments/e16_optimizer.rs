@@ -10,8 +10,10 @@
 //! usage before and after: the adapted plan processes the fast phase at a
 //! fraction of the nested-loops cost.
 
-use streammeta_bench::harness::virtual_stack;
-use streammeta_bench::table::{f, Table};
+use std::io::{self, Write};
+
+use crate::harness::virtual_stack;
+use crate::table::{f, Table};
 use streammeta_core::MetadataKey;
 use streammeta_costmodel::{install_cost_model, JoinImplOptimizer};
 use streammeta_engine::VirtualEngine;
@@ -76,8 +78,11 @@ fn run(adaptive: bool) -> Vec<(u64, String, f64)> {
     timeline
 }
 
-fn main() {
-    println!("E16 — metadata-driven plan adaptation (list -> hash under rising rates)\n");
+pub fn e16(out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
+        "E16 — metadata-driven plan adaptation (list -> hash under rising rates)\n"
+    )?;
     let fixed = run(false);
     let adaptive = run(true);
     let mut table = Table::new(&[
@@ -94,7 +99,7 @@ fn main() {
             f(adaptive[i].2),
         ]);
     }
-    table.print();
+    table.write(out)?;
     // Steady-state fast phase: t >= 5000 (the adaptation itself happens
     // within one measurement window of the rate jump).
     let fast_avg = |tl: &[(u64, String, f64)]| {
@@ -102,12 +107,14 @@ fn main() {
         vals.iter().sum::<f64>() / vals.len() as f64
     };
     let (fx, ad) = (fast_avg(&fixed), fast_avg(&adaptive));
-    println!(
+    writeln!(
+        out,
         "\nfast-phase measured CPU: fixed {fx:.2} vs adaptive {ad:.2} ({:.1}x reduction)",
         fx / ad
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "The optimizer decides from metadata alone and swaps the exchangeable \
          state modules in place; the module metadata (state.*.impl) follows."
-    );
+    )
 }

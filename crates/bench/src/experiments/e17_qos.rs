@@ -9,8 +9,10 @@
 //! query absorbs the overload. The sinks' periodic `avg_latency` items
 //! provide the measurements.
 
-use streammeta_bench::harness::virtual_stack;
-use streammeta_bench::table::{f, Table};
+use std::io::{self, Write};
+
+use crate::harness::virtual_stack;
+use crate::table::{f, Table};
 use streammeta_core::MetadataKey;
 use streammeta_engine::{QosScheduler, VirtualEngine};
 use streammeta_streams::{ConstantRate, TupleGen};
@@ -54,8 +56,11 @@ fn run(qos: bool) -> Vec<(u64, f64, f64)> {
     timeline
 }
 
-fn main() {
-    println!("E17 — QoS-priority scheduling (2 arrivals/tick vs budget 1/tick)\n");
+pub fn e17(out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
+        "E17 — QoS-priority scheduling (2 arrivals/tick vs budget 1/tick)\n"
+    )?;
     let fifo = run(false);
     let qos = run(true);
     let mut table = Table::new(&[
@@ -74,12 +79,13 @@ fn main() {
             f(qos[i].2),
         ]);
     }
-    table.print();
-    println!(
+    table.write(out)?;
+    writeln!(
+        out,
         "\nFIFO backlogs both queries equally (latencies grow together); \
          the QoS scheduler keeps the critical query's latency at zero while \
          the best-effort query absorbs the entire backlog (NaN = nothing \
          delivered in the window). Priorities are read from the sinks' \
          qos.priority metadata."
-    );
+    )
 }

@@ -3,22 +3,26 @@
 //! A query runs on the multi-threaded wall-clock executor while a
 //! `Recorder` subscribes to the manager's own meta-metadata node
 //! (handler count, compute rate, deadline misses) and to the engine's
-//! probe items (channel backlog, worker utilization). The time series is
-//! exported as CSV into `results/` and the final values are rendered in
-//! Prometheus text exposition format. Contract: the recorded channel
-//! backlog never exceeds the executor's bound, [`WORK_CHANNEL_CAPACITY`].
+//! probe items (channel backlog, worker utilization), sampled every
+//! ~25ms; the final values are rendered in Prometheus text exposition
+//! format. Contract: the recorded channel backlog never exceeds the
+//! executor's bound, [`WORK_CHANNEL_CAPACITY`]. The counts it prints are
+//! wall-clock figures, so it has no committed transcript.
 
+use std::io::{self, Write};
 use std::time::Duration;
 
-use streammeta_bench::harness;
-use streammeta_bench::scenarios::wall_filter_query;
+use crate::scenarios::wall_filter_query;
 use streammeta_core::{MetadataKey, META_NODE};
 use streammeta_engine::{run_threaded_with, EngineProbes, ENGINE_NODE, WORK_CHANNEL_CAPACITY};
 use streammeta_profiler::Recorder;
 use streammeta_time::{TimeSpan, WorkerPool};
 
-fn main() {
-    println!("E18 — reflexive observability on the threaded executor (500ms wall run)\n");
+pub fn e18(out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
+        "E18 — reflexive observability on the threaded executor (500ms wall run)\n"
+    )?;
     let (clock, manager, graph, f) = wall_filter_query();
 
     // The engine publishes its own runtime state ...
@@ -73,10 +77,11 @@ fn main() {
     });
     pool.shutdown();
 
-    println!(
+    writeln!(
+        out,
         "processed {} elements from {} source elements\n",
         stats.processed, stats.source_elements
-    );
+    )?;
 
     let backlog = recorder.series(backlog.expect("tracked above"));
     let peak = backlog.iter().filter_map(|(_, v)| *v).fold(0.0, f64::max);
@@ -84,21 +89,13 @@ fn main() {
         peak <= WORK_CHANNEL_CAPACITY as f64,
         "recorded backlog {peak} above the channel bound {WORK_CHANNEL_CAPACITY}"
     );
-    println!(
+    writeln!(
+        out,
         "channel backlog stayed within its bound of {WORK_CHANNEL_CAPACITY} work items \
          in all {} samples\n",
         backlog.len()
-    );
+    )?;
 
-    let csv = recorder.to_csv();
-    println!(
-        "recorded {} samples of {} series",
-        csv.lines().count().saturating_sub(1),
-        6
-    );
-    harness::write_csv("e18_observability.csv", &csv);
-    println!();
-
-    println!("Prometheus exposition of the final values:\n");
-    print!("{}", recorder.render_prometheus());
+    writeln!(out, "Prometheus exposition of the final values:\n")?;
+    write!(out, "{}", recorder.render_prometheus())
 }

@@ -16,7 +16,9 @@
 //!
 //! [`Subscription`]: streammeta_core::Subscription
 
-use streammeta_bench::table::Table;
+use std::io::{self, Write};
+
+use crate::table::Table;
 use streammeta_core::{
     ItemDef, MetadataKey, MetadataManager, MetadataValue, Metric, NodeId, NodeRegistry,
 };
@@ -46,9 +48,12 @@ fn shard_reads(
     manager.metric(Metric::ShardReads).expect("slot metric") - before
 }
 
-fn main() {
-    println!("E19 — read-path contention: which reads take a shard lock");
-    println!("{N} reads per thread of one static item\n");
+pub fn e19(out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
+        "E19 — read-path contention: which reads take a shard lock"
+    )?;
+    writeln!(out, "{N} reads per thread of one static item\n")?;
 
     let manager = MetadataManager::new(VirtualClock::shared());
     let node = NodeId(0);
@@ -74,9 +79,10 @@ fn main() {
             ]);
         }
     }
-    table.print();
+    table.write(out)?;
 
-    println!(
+    writeln!(
+        out,
         "\nE19 invariants held: Subscription::get takes no shard lock, every key read takes exactly one, every read returned 42."
-    );
+    )
 }

@@ -4,15 +4,23 @@
 //! as static vs. dynamic and by update mechanism — the categories of the
 //! paper's Figure 2.
 
-use streammeta_bench::scenarios::join_scenario;
-use streammeta_bench::table::Table;
+use std::io::{self, Write};
 
-fn main() {
+use crate::scenarios::join_scenario;
+use crate::table::Table;
+use streammeta_core::NodeId;
+
+pub fn e1(out: &mut dyn Write) -> io::Result<()> {
     let s = join_scenario(10, 100, 100);
-    println!("E1 / Figure 2 — metadata taxonomy of the Figure 3 query graph\n");
+    writeln!(
+        out,
+        "E1 / Figure 2 — metadata taxonomy of the Figure 3 query graph\n"
+    )?;
     let mut table = Table::new(&["node", "kind", "item", "class", "mechanism"]);
     let mut counts = std::collections::BTreeMap::new();
-    for node in s.graph.nodes() {
+    // Node ids are process-wide; a node is printed as its rank in this
+    // graph, the id it gets in a process that built no graph before.
+    for (rank, node) in s.graph.nodes().into_iter().enumerate() {
         let slot = s.graph.get(node).expect("node exists");
         let kind = s.graph.kind(node);
         for path in slot.registry().available() {
@@ -25,7 +33,7 @@ fn main() {
             };
             *counts.entry(mech.label()).or_insert(0usize) += 1;
             table.row(vec![
-                format!("{} ({})", s.graph.name(node), node),
+                format!("{} ({})", s.graph.name(node), NodeId(rank as u32)),
                 kind.label().to_string(),
                 path.as_str().to_string(),
                 class.to_string(),
@@ -33,11 +41,11 @@ fn main() {
             ]);
         }
     }
-    table.print();
-    println!("\nitems by mechanism:");
+    table.write(out)?;
+    writeln!(out, "\nitems by mechanism:")?;
     let mut summary = Table::new(&["mechanism", "items"]);
     for (mech, n) in counts {
         summary.row(vec![mech.to_string(), n.to_string()]);
     }
-    summary.print();
+    summary.write(out)
 }

@@ -18,15 +18,15 @@
 //! the filter node — the run must complete, process elements, and keep
 //! the item's subscription serving fresh-or-degraded values.
 
+use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use streammeta_bench::harness;
-use streammeta_bench::scenarios::wall_filter_query;
+use crate::scenarios::wall_filter_query;
 use streammeta_core::{
     FallbackPolicy, FaultAction, FaultPlan, FaultSchedule, ItemDef, MetadataKey, MetadataManager,
-    MetadataValue, NodeId, NodeRegistry, TraceEvent,
+    MetadataValue, NodeId, NodeRegistry, RingBufferSink, TraceEvent,
 };
 use streammeta_engine::run_threaded;
 use streammeta_profiler::Recorder;
@@ -39,8 +39,11 @@ const POLICY: FallbackPolicy = FallbackPolicy {
     cool_down: TimeSpan(100),
 };
 
-fn phase1_deterministic() {
-    println!("— phase 1: 10 periodic items, 60 windows, deterministic faults —\n");
+fn phase1_deterministic(out: &mut dyn Write, trace: &Arc<RingBufferSink>) -> io::Result<()> {
+    writeln!(
+        out,
+        "— phase 1: 10 periodic items, 60 windows, deterministic faults —\n"
+    )?;
     let clock = VirtualClock::shared();
     let manager = MetadataManager::new(clock.clone());
     let reg = NodeRegistry::new(NodeId(1));
@@ -85,49 +88,51 @@ fn phase1_deterministic() {
     );
     manager.set_fault_plan(Some(plan.clone()));
 
-    // The deterministic phase runs against a JSONL file sink; what it
-    // wrote is read back, linted T1–T8 and returned for the
-    // repeat-failure scan below. The sink stays installed, so the
-    // teardown at the end of this function lands in the file CI re-lints.
+    // The deterministic phase is traced into `trace`; the records so far
+    // feed the repeat-failure scan below. The sink stays installed, so the
+    // teardown at the end of this function is recorded and linted too.
+    manager.set_trace_sink(Some(trace.clone()));
+    manager.install_meta_node(TimeSpan(50));
     let mut recorder = Recorder::new(manager.clone());
-    let mut subs = Vec::new();
+    recorder.track_containment().expect("meta node installed");
+    let subs: Vec<_> = (0..10)
+        .map(|i| manager.subscribe(key(i)).expect("subscribe"))
+        .collect();
     let mut degraded_reads = 0u64;
-    let records = harness::lint_trace(&harness::trace_path("e20"), |sink| {
-        manager.set_trace_sink(Some(sink));
-        manager.install_meta_node(TimeSpan(50));
-        recorder.track_containment().expect("meta node installed");
-        subs.extend((0..10).map(|i| manager.subscribe(key(i)).expect("subscribe")));
-
-        for _window in 0..60 {
-            clock.advance(TimeSpan(10));
-            manager.periodic().advance_to(clock.now());
-            for sub in &subs {
-                let v = sub.versioned();
-                // The containment invariant: fresh, or stale-marked last-good.
-                assert!(
-                    v.value.is_available() || v.degraded,
-                    "{}: neither available nor degraded: {v:?}",
-                    sub.key()
-                );
-                if v.degraded {
-                    degraded_reads += 1;
-                }
+    for _window in 0..60 {
+        clock.advance(TimeSpan(10));
+        manager.periodic().advance_to(clock.now());
+        for sub in &subs {
+            let v = sub.versioned();
+            // The containment invariant: fresh, or stale-marked last-good.
+            assert!(
+                v.value.is_available() || v.degraded,
+                "{}: neither available nor degraded: {v:?}",
+                sub.key()
+            );
+            if v.degraded {
+                degraded_reads += 1;
             }
-            recorder.sample();
         }
-    });
+        recorder.sample();
+    }
+    let records = trace.snapshot();
 
     let stats = manager.stats();
-    println!("windows driven           60");
-    println!("faults injected          {}", plan.injected_count());
-    println!("compute evaluations      {}", stats.computes);
-    println!("contained panics         {}", stats.compute_failures);
-    println!("deadline overruns        {}", stats.deadline_overruns);
-    println!("retries scheduled        {}", stats.retries);
-    println!("quarantine trips         {}", stats.quarantine_trips);
-    println!("currently quarantined    {}", manager.quarantined_count());
-    println!("stale (degraded) serves  {}", stats.stale_serves);
-    println!("degraded reads observed  {degraded_reads}");
+    writeln!(out, "windows driven           60")?;
+    writeln!(out, "faults injected          {}", plan.injected_count())?;
+    writeln!(out, "compute evaluations      {}", stats.computes)?;
+    writeln!(out, "contained panics         {}", stats.compute_failures)?;
+    writeln!(out, "deadline overruns        {}", stats.deadline_overruns)?;
+    writeln!(out, "retries scheduled        {}", stats.retries)?;
+    writeln!(out, "quarantine trips         {}", stats.quarantine_trips)?;
+    writeln!(
+        out,
+        "currently quarantined    {}",
+        manager.quarantined_count()
+    )?;
+    writeln!(out, "stale (degraded) serves  {}", stats.stale_serves)?;
+    writeln!(out, "degraded reads observed  {degraded_reads}")?;
 
     assert!(plan.injected_count() > 0, "no faults injected");
     assert!(stats.deadline_overruns > 0, "no deadline overruns");
@@ -154,17 +159,18 @@ fn phase1_deterministic() {
             }
         }
     }
-    println!("unquarantined repeat-failures: {repeat_failures}");
+    writeln!(out, "unquarantined repeat-failures: {repeat_failures}")?;
     assert_eq!(repeat_failures, 0, "a quarantined item kept failing");
 
-    println!();
-    harness::write_csv("e20_fault_injection.csv", &recorder.to_csv());
-    println!("\nPrometheus exposition of the final values:\n");
-    print!("{}", recorder.render_prometheus());
+    writeln!(out, "\nPrometheus exposition of the final values:\n")?;
+    write!(out, "{}", recorder.render_prometheus())
 }
 
-fn phase2_threaded() {
-    println!("\n— phase 2: threaded executor under injected panics (200ms wall run) —\n");
+fn phase2_threaded(out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
+        "\n— phase 2: threaded executor under injected panics (200ms wall run) —\n"
+    )?;
     let (clock, manager, graph, f) = wall_filter_query();
 
     // A contained periodic item on the filter node whose compute panics
@@ -199,25 +205,29 @@ fn phase2_threaded() {
     pool.shutdown();
 
     let v = probe_sub.versioned();
-    println!(
+    writeln!(
+        out,
         "processed {} elements from {} source elements",
         stats.processed, stats.source_elements
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "faults injected {}, contained panics {}, guarded probe: {:?} (degraded: {})",
         plan.injected_count(),
         manager.stats().compute_failures,
         v.value,
         v.degraded
-    );
+    )?;
     assert!(stats.processed > 0, "threaded run processed nothing");
     assert!(
         v.value.is_available() || v.degraded,
         "guarded probe neither available nor degraded"
     );
+    Ok(())
 }
 
-fn main() {
+/// Runs E20, tracing its deterministic phase into `trace`.
+pub fn e20(out: &mut dyn Write, trace: &Arc<RingBufferSink>) -> io::Result<()> {
     // Injected-fault panics are caught by the containment layer; keep
     // their backtraces out of the experiment output. Anything else
     // (a real bug, a failed assertion) still prints normally.
@@ -232,10 +242,14 @@ fn main() {
         }
     }));
 
-    println!("E20 — failure containment for metadata computes under fault injection\n");
-    phase1_deterministic();
-    phase2_threaded();
-    println!(
+    writeln!(
+        out,
+        "E20 — failure containment for metadata computes under fault injection\n"
+    )?;
+    phase1_deterministic(out, trace)?;
+    phase2_threaded(out)?;
+    writeln!(
+        out,
         "\nE20 invariants held: no hang past deadline, no panic escape, fresh-or-degraded serving."
-    );
+    )
 }

@@ -9,11 +9,13 @@
 //!    of them as `SELECT COUNT(*)` counts through the CQL scan path;
 //!    the per-item relations have one row per included handler.
 //! 2. **One-shot queries** — `SELECT key, p99 FROM sys.handlers WHERE
-//!    p99 > 1000000` singles out the slow item, and `COUNT(*)`, which
-//!    reads no cell, is at least 5x cheaper than the full `sys.handlers`
-//!    snapshot. That floor is a ratio of two timings taken in this
-//!    process, so machine speed cancels; it is the one place this
-//!    binary looks at a clock, and it prints no time.
+//!    p99 > 1000000` singles out the slow item, and `COUNT(*)` over
+//!    `sys.handlers` builds no cell while the full snapshot builds every
+//!    row: counted in allocations on the calling thread, the snapshot
+//!    makes at least one per row and the count fewer than one per
+//!    hundred rows. The count comes from
+//!    [`CountingAlloc`](crate::harness::CountingAlloc), which the running
+//!    binary must install as its global allocator.
 //! 3. **Continuous alert** — the same query installed via
 //!    `install_continuous` fires through normal observer delivery and
 //!    names the slow item.
@@ -24,11 +26,13 @@
 //! `core.catalog.snapshot_us_per_krow`, `cql.query_once_us_p50`,
 //! `cql.continuous_refresh_us_p50`, `bench.self_time_frac.core.catalog`.
 
+use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use streammeta_bench::table::Table;
+use crate::harness::allocations;
+use crate::table::Table;
 use streammeta_core::{
     ItemDef, MetadataKey, MetadataManager, MetadataValue, NodeId, NodeRegistry, Subscription,
     SystemRelation,
@@ -105,11 +109,17 @@ fn names_slow(rows: &[Vec<MetadataValue>]) -> bool {
     rows.iter().any(|r| r[0].as_text() == Some(SLOW))
 }
 
-fn main() {
-    println!("E21 — queryable metadata catalog: sys.* relations + CQL over system state\n");
+pub fn e21(out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
+        "E21 — queryable metadata catalog: sys.* relations + CQL over system state\n"
+    )?;
     let (clock, manager, subs) = build();
     let handlers = manager.handler_count();
-    println!("graph: {NODES} nodes x {ITEMS_PER_NODE} items = {handlers} handlers included");
+    writeln!(
+        out,
+        "graph: {NODES} nodes x {ITEMS_PER_NODE} items = {handlers} handlers included"
+    )?;
     assert_eq!(handlers, (NODES * ITEMS_PER_NODE + 1) as usize);
 
     // Two windows so every periodic item has latency samples.
@@ -124,7 +134,7 @@ fn main() {
 
     // 1. Every relation: declared arity, and the snapshot and the CQL
     // scan see the same rows.
-    println!("\n— relation snapshots —");
+    writeln!(out, "\n— relation snapshots —")?;
     let mut table = Table::new(&["relation", "columns", "rows", "COUNT(*)"]);
     for rel in SystemRelation::ALL {
         let rows = manager.catalog_rows(rel);
@@ -153,40 +163,36 @@ fn main() {
             counted.to_string(),
         ]);
     }
-    table.print();
+    table.write(out)?;
 
     // 2. One-shot CQL: the alert query finds the slow item, and a query
-    // that reads no cell is far cheaper than one that reads them all.
+    // that reads no cell builds none, where the snapshot builds them all.
     let res = query_once(&catalog, ALERT_QUERY).expect("one-shot query");
     assert!(
         names_slow(&res.rows),
         "slow item missing from one-shot matches"
     );
-    println!("\none-shot `{ALERT_QUERY}` names {SLOW}");
-    // The fastest of three runs each: one preempted run must not decide
-    // a ratio that is 30x on a quiet machine.
-    let fastest = |f: &dyn Fn()| {
-        (0..3)
-            .map(|_| {
-                let start = Instant::now();
-                f();
-                start.elapsed()
-            })
-            .min()
-            .expect("three runs")
-    };
-    let snapshot = fastest(&|| {
+    writeln!(out, "\none-shot `{ALERT_QUERY}` names {SLOW}")?;
+    let snapshot = allocations(|| {
         std::hint::black_box(manager.catalog_rows(SystemRelation::Handlers));
     });
-    let counting = fastest(&|| {
+    let counting = allocations(|| {
         std::hint::black_box(count("sys.handlers"));
     });
     assert!(
-        snapshot >= 5 * counting,
-        "COUNT(*) over sys.handlers took {counting:?}, the full snapshot {snapshot:?}: \
-         a query that reads no cell must be at least 5x cheaper"
+        snapshot >= handlers as u64,
+        "the sys.handlers snapshot of {handlers} rows made {snapshot} allocations: \
+         is CountingAlloc the global allocator?"
     );
-    println!("COUNT(*) over sys.handlers is at least 5x cheaper than its full snapshot");
+    assert!(
+        counting * 100 < handlers as u64,
+        "COUNT(*) over {handlers} rows of sys.handlers made {counting} allocations: \
+         a query that reads no cell must build none"
+    );
+    writeln!(
+        out,
+        "COUNT(*) over sys.handlers is at least 5x cheaper than its full snapshot"
+    )?;
 
     // 3. The continuous alert fires through normal observer delivery
     // and names the slow item.
@@ -209,21 +215,26 @@ fn main() {
         names_slow(&alert.matches()),
         "slow item missing from alert matches"
     );
-    println!("continuous alert fired through its observer and names {SLOW}");
+    writeln!(
+        out,
+        "continuous alert fired through its observer and names {SLOW}"
+    )?;
     drop(observer);
 
     // A rendered quarantine snapshot demonstrates the dashboard path
     // (empty here: no fallback policies in this graph).
-    println!(
+    writeln!(
+        out,
         "\n{}",
         render_relation(
             SystemRelation::Quarantine,
             &manager.catalog_rows(SystemRelation::Quarantine)
         )
-    );
+    )?;
     drop(subs);
-    println!(
+    writeln!(
+        out,
         "E21 invariants held: every relation has its declared arity and the row count CQL \
          counts, one-shot and continuous CQL agree on the slow item, COUNT(*) >= 5x cheaper."
-    );
+    )
 }

@@ -14,25 +14,31 @@
 //! `ops_per_s` of the benchmark's `fanout_epoch` against
 //! `fanout_per_event` workload (`BENCHMARK.json`).
 //!
-//! A small traced replay of both modes is written to
-//! `$RESULTS_DIR/e22_trace.jsonl` and checked against the trace-replay
-//! invariants T1–T8. `EXP_QUICK=1` shrinks N for CI smoke runs.
+//! A small traced replay of both modes goes to the trace ring, which is
+//! checked against the trace-replay invariants T1–T8. `N` is small enough
+//! for a debug build: the counts are exact at any size.
 
-use streammeta_bench::harness::{self, caller_flushed_epochs, fanout_dag, fire_ticks};
-use streammeta_bench::table::Table;
+use std::io::{self, Write};
+use std::sync::Arc;
+
+use crate::harness::{caller_flushed_epochs, fanout_dag, fire_ticks};
+use crate::table::Table;
+use streammeta_core::RingBufferSink;
 
 const FANOUTS: &[usize] = &[16, 64, 256];
 /// Flush cadence in epoch mode: one epoch per BATCH updates.
 const BATCH: usize = 64;
+/// Updates per mode.
+const N: usize = 1024;
 
-fn main() {
-    let quick = harness::quick();
-    let updates: usize = if quick { 4096 } else { 16384 };
-    println!("E22 — epoch-batched trigger propagation vs per-event sweeps");
-    println!(
-        "{updates} updates per mode, flush cadence {BATCH}{}\n",
-        if quick { " (quick mode)" } else { "" }
-    );
+/// Runs E22, tracing its small replay into `trace`.
+pub fn e22(out: &mut dyn Write, trace: &Arc<RingBufferSink>) -> io::Result<()> {
+    let updates = N;
+    writeln!(
+        out,
+        "E22 — epoch-batched trigger propagation vs per-event sweeps"
+    )?;
+    writeln!(out, "{updates} updates per mode, flush cadence {BATCH}\n")?;
 
     let flushes = updates.div_ceil(BATCH) as u64;
     let mut table = Table::new(&[
@@ -78,24 +84,22 @@ fn main() {
             coalesced.to_string(),
         ]);
     }
-    table.print();
-    println!();
+    table.write(out)?;
 
     // Fan-out 8 runs the per-event protocol, then two coalescing
     // epochs, then tears its subscriptions down. The counted runs above
-    // stay untraced: 16k updates x 256 dependents is eight million
-    // records.
-    harness::lint_trace(&harness::trace_path("e22"), |sink| {
-        let (manager, state, subs) = fanout_dag(8);
-        manager.set_trace_sink(Some(sink));
-        fire_ticks(&manager, &state, 4, None);
-        manager.set_propagation_mode(caller_flushed_epochs());
-        fire_ticks(&manager, &state, 2 * BATCH, Some(BATCH));
-        drop(subs); // unsubscribe + exclude close every per-key history
-    });
+    // stay untraced: N updates x 256 dependents would be over a quarter
+    // million records.
+    let (manager, state, subs) = fanout_dag(8);
+    manager.set_trace_sink(Some(trace.clone()));
+    fire_ticks(&manager, &state, 4, None);
+    manager.set_propagation_mode(caller_flushed_epochs());
+    fire_ticks(&manager, &state, 2 * BATCH, Some(BATCH));
+    drop(subs); // unsubscribe + exclude close every per-key history
 
-    println!(
+    writeln!(
+        out,
         "\nE22 invariants held: N*F per-event and ceil(N/{BATCH})*F epoch recomputes, one epoch \
          per flush, all but one update per epoch coalesced, every observer saw the final value."
-    );
+    )
 }

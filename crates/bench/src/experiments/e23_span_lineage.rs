@@ -19,21 +19,26 @@
 //!    through `tracelint` rules T1–T8, and every notification in it
 //!    carries a span whose roots resolve to source-update anchors.
 //!
-//! The trace goes to `$RESULTS_DIR/e23_trace.jsonl`. `EXP_QUICK=1`
-//! shrinks N for CI smoke runs.
+//! The traced phase records into the trace ring it is handed. `N` is
+//! small enough for a debug build: the contracts are counts, exact at any
+//! size.
 
+use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use streammeta_bench::harness::{self, caller_flushed_epochs, fanout_dag, fire_ticks};
-use streammeta_bench::table::Table;
+use crate::harness::{caller_flushed_epochs, fanout_dag, fire_ticks};
+use crate::table::Table;
 use streammeta_core::{
-    MetadataKey, NodeId, SpanSampling, Subscription, TraceEvent, TraceRecord, TraceSink,
+    MetadataKey, NodeId, RingBufferSink, SpanSampling, Subscription, TraceEvent, TraceRecord,
+    TraceSink,
 };
 
 const FANOUTS: &[usize] = &[16, 64, 256];
 /// Flush cadence of the traced epoch phase (matches E22).
 const BATCH: usize = 64;
+/// Per-event updates per sampling mode.
+const N: usize = 256;
 
 /// Counts trace records and those among them that carry a span, without
 /// keeping any: the per-event run emits `2·N·F` of them.
@@ -93,25 +98,24 @@ fn no_span_minted(f: &SpanFacts) -> Result<(), String> {
 /// rounds then coalescing epochs. The trace replays through T1–T8 and
 /// every notification must carry roots (T8 resolves them to
 /// source-update anchors): 100% lineage coverage.
-fn lineage_phase() {
-    let records = harness::lint_trace(&harness::trace_path("e23"), |sink| {
-        let (manager, state, subs) = fanout_dag(8);
-        // Observers make every store emit a span-bearing notification.
-        let observed: Vec<Subscription> = (0..8)
-            .map(|i| {
-                manager
-                    .subscribe_with(MetadataKey::new(NodeId(1), format!("dep{i}")), |_| {})
-                    .expect("subscribe with observer")
-            })
-            .collect();
-        manager.set_span_sampling(SpanSampling::Ratio(1));
-        manager.set_trace_sink(Some(sink));
-        fire_ticks(&manager, &state, 4, None);
-        manager.set_propagation_mode(caller_flushed_epochs());
-        fire_ticks(&manager, &state, 2 * BATCH, Some(BATCH));
-        drop(observed);
-        drop(subs);
-    });
+fn lineage_phase(out: &mut dyn Write, trace: &Arc<RingBufferSink>) -> io::Result<()> {
+    let (manager, state, subs) = fanout_dag(8);
+    // Observers make every store emit a span-bearing notification.
+    let observed: Vec<Subscription> = (0..8)
+        .map(|i| {
+            manager
+                .subscribe_with(MetadataKey::new(NodeId(1), format!("dep{i}")), |_| {})
+                .expect("subscribe with observer")
+        })
+        .collect();
+    manager.set_span_sampling(SpanSampling::Ratio(1));
+    manager.set_trace_sink(Some(trace.clone()));
+    fire_ticks(&manager, &state, 4, None);
+    manager.set_propagation_mode(caller_flushed_epochs());
+    fire_ticks(&manager, &state, 2 * BATCH, Some(BATCH));
+    drop(observed);
+    drop(subs);
+    let records = trace.snapshot();
     let notified = |r: &&TraceRecord| matches!(r.event, TraceEvent::Notified { .. });
     let notifications = records.iter().filter(notified).count();
     let covered = records
@@ -127,17 +131,20 @@ fn lineage_phase() {
         covered, notifications,
         "lineage coverage below 100%: {covered}/{notifications} notifications carry roots"
     );
-    println!("lineage: {covered}/{notifications} notifications carry roots");
+    writeln!(
+        out,
+        "lineage: {covered}/{notifications} notifications carry roots"
+    )
 }
 
-fn main() {
-    let quick = harness::quick();
-    let updates: usize = if quick { 4096 } else { 16384 };
-    println!("E23 — causal lineage spans: off means off, on means full provenance");
-    println!(
-        "{updates} per-event updates per sampling mode{}\n",
-        if quick { " (quick mode)" } else { "" }
-    );
+/// Runs E23, tracing its lineage phase into `trace`.
+pub fn e23(out: &mut dyn Write, trace: &Arc<RingBufferSink>) -> io::Result<()> {
+    let updates = N;
+    writeln!(
+        out,
+        "E23 — causal lineage spans: off means off, on means full provenance"
+    )?;
+    writeln!(out, "{updates} per-event updates per sampling mode\n")?;
 
     let mut table = Table::new(&[
         "fanout",
@@ -176,12 +183,13 @@ fn main() {
             ]);
         }
     }
-    table.print();
-    println!();
+    table.write(out)?;
+    writeln!(out)?;
 
-    lineage_phase();
-    println!(
+    lineage_phase(out, trace)?;
+    writeln!(
+        out,
         "\nE23 invariants held: sampling off mints no span and the same check fails under \
          Ratio(1); sampled lineage 100% covered and T1-T8 clean."
-    );
+    )
 }

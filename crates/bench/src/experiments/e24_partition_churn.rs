@@ -1,8 +1,8 @@
 //! E24: partitioned-plane churn — the cross-partition contract.
 //!
-//! The workload shards ~100k metadata item definitions over 8
-//! in-process partitions behind the plane's consistent-hash router and
-//! opens ~10k cross-partition subscriptions: each one a `mirror` item on
+//! The workload shards 8k metadata item definitions over 8 in-process
+//! partitions behind the plane's consistent-hash router and opens 800
+//! cross-partition subscriptions: each one a `mirror` item on
 //! one partition whose `dep_remote` target lives on another, resolved
 //! through the plane's proxy items and remote-subscription protocol.
 //!
@@ -20,24 +20,24 @@
 //!     its link, none is left after teardown.
 //!  5. *Traced determinism*: a small 8-partition run with every update
 //!     span-sampled writes per-partition traces, merges them with
-//!     `tracelint::merge_traces`, and the merged trace
-//!     (`$RESULTS_DIR/e24_trace.jsonl`) is T1–T8 clean, proxy version
-//!     monotonicity across the partition boundary included.
+//!     `tracelint::merge_traces` into the trace ring, which must be
+//!     T1–T8 clean, proxy version monotonicity across the partition
+//!     boundary included.
 //!
 //! The hash ring is deterministic, so every printed count is the same on
 //! every run. Latencies and rates of the plane are benchmark metrics
 //! (`control_plane` workload of `BENCHMARK.json`): `core.include_us_*`,
-//! `core.exclude_us_*`, `core.partition.*`, `ops_per_s`.
-//! `EXP_QUICK=1` shrinks the workload for CI smoke runs.
+//! `core.exclude_us_*`, `core.partition.*`, `ops_per_s`. The workload
+//! is sized for a debug build; the contracts hold at any size.
 
+use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use streammeta_analyze::tracelint;
-use streammeta_bench::harness;
 use streammeta_core::{
     EventKey, ItemDef, MetadataKey, MetadataValue, NodeId, NodeRegistry, PartitionedMetadataPlane,
-    RingBufferSink, SpanSampling, Subscription, TraceSink,
+    RingBufferSink, SpanSampling, Subscription,
 };
 use streammeta_time::{Clock, TimeSpan, VirtualClock};
 
@@ -53,27 +53,16 @@ struct Workload {
     fires_per_round: usize,
 }
 
-impl Workload {
-    fn new(quick: bool) -> Workload {
-        if quick {
-            Workload {
-                src_nodes: 100,
-                items_per_node: 80,
-                subs: 800,
-                rounds: 40,
-                fires_per_round: 32,
-            }
-        } else {
-            Workload {
-                src_nodes: 1000,
-                items_per_node: 100,
-                subs: 10_000,
-                rounds: 200,
-                fires_per_round: 64,
-            }
-        }
-    }
+/// The churned workload.
+const WORKLOAD: Workload = Workload {
+    src_nodes: 100,
+    items_per_node: 80,
+    subs: 800,
+    rounds: 40,
+    fires_per_round: 32,
+};
 
+impl Workload {
     fn total_items(&self) -> usize {
         self.src_nodes * self.items_per_node
     }
@@ -163,75 +152,77 @@ fn open_link(plane: &PartitionedMetadataPlane, w: &Workload, j: usize, observed:
 
 /// The traced deterministic phase: a small 8-partition plane with every
 /// update span-sampled. Per-partition ring sinks are merged with
-/// `merge_traces` into the exported file, which must lint T1–T8 clean
-/// (version monotonicity, span causality and lineage across the
-/// partition boundary).
-fn traced_phase() {
-    harness::lint_trace(&harness::trace_path("e24"), |file| {
-        let clock = VirtualClock::shared();
-        let plane = PartitionedMetadataPlane::new(clock.clone(), PARTITIONS);
-        let w = Workload {
-            src_nodes: 16,
-            items_per_node: 1,
-            subs: 16,
-            rounds: 6,
-            fires_per_round: 16,
-        };
-        let sinks: Vec<Arc<RingBufferSink>> = plane
-            .partitions()
-            .iter()
-            .map(|m| {
-                let sink = RingBufferSink::new(1 << 16);
-                m.set_span_sampling(SpanSampling::Ratio(1));
-                m.set_trace_sink(Some(sink.clone()));
-                sink
-            })
-            .collect();
-        let counters = build_sources(&plane, &w);
-        let links: Vec<Link> = (0..w.subs)
-            .map(|j| open_link(&plane, &w, j, true))
-            .collect();
-        // Deterministic rounds: owner-side stores at t, pumped at t+1, so
-        // a child span's record always follows its cross-partition parent
-        // in merged (timestamp) order.
-        for r in 1..=w.rounds as u64 {
-            for (n, c) in counters.iter().enumerate() {
-                c.store(r, Ordering::Relaxed);
-                plane.fire_event(EventKey::new(NodeId(n as u32), "bump"));
-            }
-            clock.advance(TimeSpan(1));
-            plane.tick(clock.now());
-            clock.advance(TimeSpan(1));
+/// `merge_traces` into `trace`, which must lint T1–T8 clean (version
+/// monotonicity, span causality and lineage across the partition
+/// boundary).
+fn traced_phase(trace: &RingBufferSink) {
+    let clock = VirtualClock::shared();
+    let plane = PartitionedMetadataPlane::new(clock.clone(), PARTITIONS);
+    let w = Workload {
+        src_nodes: 16,
+        items_per_node: 1,
+        subs: 16,
+        rounds: 6,
+        fires_per_round: 16,
+    };
+    let sinks: Vec<Arc<RingBufferSink>> = plane
+        .partitions()
+        .iter()
+        .map(|m| {
+            let sink = RingBufferSink::new(1 << 16);
+            m.set_span_sampling(SpanSampling::Ratio(1));
+            m.set_trace_sink(Some(sink.clone()));
+            sink
+        })
+        .collect();
+    let counters = build_sources(&plane, &w);
+    let links: Vec<Link> = (0..w.subs)
+        .map(|j| open_link(&plane, &w, j, true))
+        .collect();
+    // Deterministic rounds: owner-side stores at t, pumped at t+1, so
+    // a child span's record always follows its cross-partition parent
+    // in merged (timestamp) order.
+    for r in 1..=w.rounds as u64 {
+        for (n, c) in counters.iter().enumerate() {
+            c.store(r, Ordering::Relaxed);
+            plane.fire_event(EventKey::new(NodeId(n as u32), "bump"));
         }
-        // Kill/revive one owner partition mid-trace: degradation, retries
-        // and recovery must all replay as legal T3/T4/T5 sequences.
-        let killed = links[0].owner;
-        plane.kill_partition(killed);
-        clock.advance(TimeSpan(10));
+        clock.advance(TimeSpan(1));
         plane.tick(clock.now());
-        plane.revive_partition(killed);
-        clock.advance(TimeSpan(10));
-        plane.tick(clock.now());
-        drop(links);
+        clock.advance(TimeSpan(1));
+    }
+    // Kill/revive one owner partition mid-trace: degradation, retries
+    // and recovery must all replay as legal T3/T4/T5 sequences.
+    let killed = links[0].owner;
+    plane.kill_partition(killed);
+    clock.advance(TimeSpan(10));
+    plane.tick(clock.now());
+    plane.revive_partition(killed);
+    clock.advance(TimeSpan(10));
+    plane.tick(clock.now());
+    drop(links);
 
-        let per_partition: Vec<_> = sinks.iter().map(|s| s.snapshot()).collect();
-        for record in tracelint::merge_traces(&per_partition) {
-            file.record(record);
-        }
-    });
+    let per_partition: Vec<_> = sinks.iter().map(|s| s.snapshot()).collect();
+    for record in tracelint::merge_traces(&per_partition) {
+        trace.record(record);
+    }
 }
 
-fn main() {
-    let quick = harness::quick();
-    let w = Workload::new(quick);
-    println!("E24 — partitioned-plane churn over {PARTITIONS} partitions");
-    println!(
-        "{} items, {} cross-partition subscriptions, {} propagation rounds{}\n",
+/// Runs E24, recording the merged trace of its traced phase into
+/// `trace`.
+pub fn e24(out: &mut dyn Write, trace: &Arc<RingBufferSink>) -> io::Result<()> {
+    let w = WORKLOAD;
+    writeln!(
+        out,
+        "E24 — partitioned-plane churn over {PARTITIONS} partitions"
+    )?;
+    writeln!(
+        out,
+        "{} items, {} cross-partition subscriptions, {} propagation rounds\n",
         w.total_items(),
         w.subs,
         w.rounds,
-        if quick { " (quick mode)" } else { "" }
-    );
+    )?;
 
     let plane = PartitionedMetadataPlane::new(VirtualClock::shared(), PARTITIONS);
     let counters = build_sources(&plane, &w);
@@ -241,7 +232,11 @@ fn main() {
         .map(|j| open_link(&plane, &w, j, false))
         .collect();
     assert_eq!(plane.remote_link_count(), w.subs, "one proxy link per sub");
-    println!("include churn: {} subscriptions, {} links", w.subs, w.subs);
+    writeln!(
+        out,
+        "include churn: {} subscriptions, {} links",
+        w.subs, w.subs
+    )?;
 
     // Phase 2 — propagation rounds.
     let mut node_value = vec![0u64; w.src_nodes];
@@ -274,10 +269,11 @@ fn main() {
         checked += 1;
     }
     assert!(checked > 0, "propagation touched no subscribed mirror");
-    println!(
+    writeln!(
+        out,
         "propagation: {fired_total} fires, {applied_total} remote updates applied, \
          {checked} updated mirrors checked fresh"
-    );
+    )?;
 
     // Phase 3 — partition kill: fresh-or-degraded reads only.
     let killed = links[0].owner;
@@ -331,10 +327,11 @@ fn main() {
             assert!(!v.degraded, "revive must recover {}", l.src_key);
         }
     }
-    println!(
+    writeln!(
+        out,
         "partition kill: {degraded_reads} degraded + {fresh_reads} fresh reads \
          (all available), revive recovered"
-    );
+    )?;
     assert!(degraded_reads > 0, "the killed partition owned no links");
 
     // Phase 4 — exclude churn.
@@ -347,17 +344,19 @@ fn main() {
     );
     drop(links);
     assert_eq!(plane.remote_link_count(), 0, "teardown left a link");
-    println!(
+    writeln!(
+        out,
         "exclude churn: {half} drops left {} links, teardown 0",
         w.subs - half
-    );
+    )?;
 
-    // Phase 5 — traced determinism + offline lint export.
-    traced_phase();
+    // Phase 5 — traced determinism, linted once the experiment returned.
+    traced_phase(trace);
 
-    println!(
+    writeln!(
+        out,
         "\nE24 invariants held: {} cross-partition links churned, kill-phase reads all \
          fresh-or-degraded, merged trace T1-T8 clean.",
         w.subs
-    );
+    )
 }

@@ -9,14 +9,16 @@
 //! table of the paper's Figure 4. The shared periodic handler (window 50)
 //! reports 0.1 to both.
 
-use streammeta_bench::harness::virtual_stack;
-use streammeta_bench::table::{f, Table};
+use std::io::{self, Write};
+
+use crate::harness::virtual_stack;
+use crate::table::{f, Table};
 use streammeta_core::MetadataKey;
 use streammeta_engine::VirtualEngine;
 use streammeta_streams::{ConstantRate, TupleGen};
 use streammeta_time::{TimeSpan, Timestamp};
 
-fn main() {
+pub fn e3(out: &mut dyn Write) -> io::Result<()> {
     let (clock, manager, graph) = virtual_stack(50);
     let src = graph.source(
         "s",
@@ -39,7 +41,10 @@ fn main() {
 
     let mut engine = VirtualEngine::new(graph.clone(), clock.clone());
 
-    println!("E3 / Figure 4 — concurrent metadata access (true input rate = 0.1)\n");
+    writeln!(
+        out,
+        "E3 / Figure 4 — concurrent metadata access (true input rate = 0.1)\n"
+    )?;
     let mut table = Table::new(&["t", "consumer", "naive on-demand", "periodic (window 50)"]);
     // User 1 accesses at 50,100,150,200; user 2 at 75,125,175.
     let mut accesses: Vec<(u64, &str)> = (1..=4).map(|i| (i * 50, "user 1")).collect();
@@ -51,12 +56,13 @@ fn main() {
         let p = periodic.get_f64().unwrap_or(f64::NAN);
         table.row(vec![t.to_string(), user.to_string(), f(n), f(p)]);
     }
-    table.print();
+    table.write(out)?;
 
-    println!(
+    writeln!(
+        out,
         "\nThe naive reset-on-access measurement alternates around the truth \
          (0.08 / 0.12) because the consumers reset each other's interval;\n\
          the shared periodic handler returns the correct 0.1 to both \
          (isolation condition of Section 3)."
-    );
+    )
 }

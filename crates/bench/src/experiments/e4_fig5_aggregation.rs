@@ -10,16 +10,17 @@
 //! results in a wrong average value". The *triggered* average observes
 //! every change of the underlying rate and converges to the truth.
 
+use std::io::{self, Write};
 use std::sync::Arc;
 
-use streammeta_bench::harness::virtual_stack;
-use streammeta_bench::table::{f, Table};
+use crate::harness::virtual_stack;
+use crate::table::{f, Table};
 use streammeta_core::{ItemDef, MetadataKey, MetadataValue, OnlineAverage};
 use streammeta_engine::VirtualEngine;
 use streammeta_streams::{Bursty, TupleGen};
 use streammeta_time::{TimeSpan, Timestamp};
 
-fn main() {
+pub fn e4(out: &mut dyn Write) -> io::Result<()> {
     let (clock, manager, graph) = virtual_stack(50);
     let src = graph.source(
         "bursty",
@@ -68,7 +69,10 @@ fn main() {
 
     let mut engine = VirtualEngine::new(graph.clone(), clock.clone());
 
-    println!("E4 / Figure 5 — on-demand vs. triggered aggregation (true average rate = 0.55)\n");
+    writeln!(
+        out,
+        "E4 / Figure 5 — on-demand vs. triggered aggregation (true average rate = 0.55)\n"
+    )?;
     let mut table = Table::new(&[
         "t",
         "input_rate (periodic)",
@@ -87,10 +91,11 @@ fn main() {
             f(triggered.get_f64().unwrap_or(f64::NAN)),
         ]);
     }
-    table.print();
-    println!(
+    table.write(out)?;
+    writeln!(
+        out,
         "\nThe on-demand average only sees the peak windows (1.0); the \
          triggered average follows every change of the input rate and \
          reports the true 0.55."
-    );
+    )
 }

@@ -10,8 +10,10 @@
 //! of the reported rate against the true phase rate — small windows are
 //! fresh but expensive; large windows are cheap but stale.
 
-use streammeta_bench::harness::virtual_stack;
-use streammeta_bench::table::{f, Table};
+use std::io::{self, Write};
+
+use crate::harness::virtual_stack;
+use crate::table::{f, Table};
 use streammeta_core::MetadataKey;
 use streammeta_engine::VirtualEngine;
 use streammeta_streams::{Bursty, TupleGen};
@@ -61,17 +63,21 @@ fn run(window: u64) -> (u64, f64) {
     (stats.computes, err_sum / err_n.max(1) as f64)
 }
 
-fn main() {
-    println!("E6 — freshness vs. overhead of periodic updates (10000 time units)\n");
+pub fn e6(out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
+        "E6 — freshness vs. overhead of periodic updates (10000 time units)\n"
+    )?;
     let mut table = Table::new(&["window", "handler computes", "mean abs rate error"]);
     for &window in &[5u64, 10, 25, 50, 100, 200, 400, 1000] {
         let (computes, err) = run(window);
         table.row(vec![window.to_string(), computes.to_string(), f(err)]);
     }
-    table.print();
-    println!(
+    table.write(out)?;
+    writeln!(
+        out,
         "\nSmaller windows track the bursty rate closely but cost \
          proportionally more updates; larger windows are cheap but smear \
          the phases (staleness). The window size calibrates the trade-off."
-    );
+    )
 }

@@ -1,54 +1,23 @@
-//! What every experiment binary needs around its body, written once:
-//! the quick flag, the results directory, the clock/manager/graph
-//! stack, the fan-out DAG of E22/E23, the traced-phase lint and the CSV
-//! writer.
+//! What every experiment needs around its body, written once: the
+//! clock/manager/graph stack, the fan-out DAG of E22/E23, the trace lint
+//! and the per-thread allocation count of E21.
 //!
-//! The contract binaries (E20–E24) print only facts that are the same on
-//! every run of a commit; anything measured in wall-clock time belongs
+//! The contract experiments (E19–E24) print only facts that are the same
+//! on every run of a commit; anything measured in wall-clock time belongs
 //! to the repo benchmark (`BENCHMARK.json`), not here.
 
-use std::path::{Path, PathBuf};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use streammeta_analyze::tracelint;
 use streammeta_core::{
     EpochConfig, EventKey, ItemDef, MetadataKey, MetadataManager, MetadataValue, NodeId,
-    NodeRegistry, PropagationMode, RotatingFileSink, Subscription, TraceRecord,
+    NodeRegistry, PropagationMode, RingBufferSink, Subscription, TraceRecord,
 };
 use streammeta_graph::{MetadataConfig, QueryGraph};
 use streammeta_time::{ClockRef, TimeSpan, VirtualClock};
-
-/// Whether `EXP_QUICK=1` asked for the CI-smoke workload sizes. Any
-/// other value, including the empty string and `0`, is off.
-pub fn quick() -> bool {
-    std::env::var("EXP_QUICK").is_ok_and(|v| v == "1")
-}
-
-/// Where experiment outputs go: `$RESULTS_DIR`, else `results`.
-pub fn results_dir() -> PathBuf {
-    std::env::var_os("RESULTS_DIR").map_or_else(|| "results".into(), PathBuf::from)
-}
-
-/// Where the contract binary `id` (`e20`, `e22`…) writes the trace of its
-/// traced phase — the file CI lints again: `<results dir>/<id>_trace.jsonl`.
-pub fn trace_path(id: &str) -> PathBuf {
-    results_dir().join(format!("{id}_trace.jsonl"))
-}
-
-/// Writes `csv` to `<results dir>/<file_name>`; an unwritable directory
-/// prints the CSV instead, so the run's data is never lost.
-pub fn write_csv(file_name: &str, csv: &str) {
-    let dir = results_dir();
-    let path = dir.join(file_name);
-    match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, csv)) {
-        Ok(()) => println!("CSV written to {}", path.display()),
-        Err(e) => println!(
-            "could not write {} ({e}); CSV follows:\n{csv}",
-            path.display()
-        ),
-    }
-}
 
 /// A manager on `clock` and an empty query graph whose periodic rate
 /// items use `rate_window`.
@@ -131,48 +100,69 @@ pub fn fire_ticks(
     }
 }
 
-/// Runs `phase` with a JSONL file sink at `path`, reads back what the
-/// phase wrote, and checks it against the trace-replay invariants T1–T8.
-/// Panics, listing the violated rules, unless the trace is clean; prints
-/// the record count and returns the records for further checks. CI
-/// lints the same file again with the `tracelint` binary.
-///
-/// The phase installs the sink wherever it needs it (one manager, a
-/// tee, or records merged from several partitions written directly).
-pub fn lint_trace(path: &Path, phase: impl FnOnce(Arc<RotatingFileSink>)) -> Vec<TraceRecord> {
-    let file = path
-        .parent()
-        .map_or(Ok(()), std::fs::create_dir_all)
-        .and_then(|()| RotatingFileSink::create(path, 8 << 20))
-        .unwrap_or_else(|e| panic!("cannot create the trace file {}: {e}", path.display()));
-    phase(file.clone());
-    file.flush().expect("flush the trace file");
-    let jsonl = file.read_retained().expect("read back the written trace");
-    let records = tracelint::parse_jsonl(&jsonl).expect("parse the written trace");
+/// Checks everything `trace` recorded against the trace-replay
+/// invariants T1–T8 and returns the records. Panics, listing the
+/// violated rules, unless the trace is clean; also panics if the ring
+/// evicted a record or holds none, since a lint of part of a trace, or
+/// of nothing, shows nothing.
+pub fn lint_trace(trace: &RingBufferSink) -> Vec<TraceRecord> {
+    assert_eq!(trace.dropped(), 0, "the trace ring evicted records");
+    let records = trace.snapshot();
+    assert!(!records.is_empty(), "nothing was traced");
     let violations = tracelint::lint(&records);
     assert!(
         violations.is_empty(),
-        "trace-replay invariants violated in {}:\n{}",
-        path.display(),
+        "trace-replay invariants violated:\n{}",
         violations
             .iter()
             .map(|v| format!("  {v}"))
             .collect::<Vec<_>>()
             .join("\n")
     );
-    println!(
-        "trace replay: {} records linted (T1-T8 clean), JSONL at {}",
-        records.len(),
-        path.display()
-    );
     records
+}
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting the allocations of each thread. A
+/// binary that installs it as its `#[global_allocator]` can ask
+/// [`allocations`] what a call cost; E21 needs it.
+pub struct CountingAlloc;
+
+// SAFETY: every call is forwarded unchanged to `System`; the count is a
+// const-initialised thread-local without destructor, which never
+// allocates (and is skipped once the thread's locals are torn down).
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+/// How many allocations `f` made on the calling thread; 0 unless
+/// [`CountingAlloc`] is the global allocator.
+pub fn allocations(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    f();
+    ALLOCATIONS.with(Cell::get) - before
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::trace_fixtures;
-    use streammeta_core::{TraceEvent, TraceSink};
+    use streammeta_core::TraceEvent;
 
     fn fixture(id: &str) -> Vec<TraceRecord> {
         let fixture = trace_fixtures::by_id(id).expect("fixture id");
@@ -181,20 +171,16 @@ mod tests {
             .expect("parseable fixture")
     }
 
-    fn replay(name: &str, records: Vec<TraceRecord>) -> Vec<TraceRecord> {
-        let path =
-            std::env::temp_dir().join(format!("harness_{}_{name}.jsonl", std::process::id()));
-        let linted = lint_trace(&path, |sink| {
-            records.into_iter().for_each(|r| sink.record(r))
-        });
-        let _ = std::fs::remove_file(&path);
-        linted
+    fn replay(records: Vec<TraceRecord>) -> Vec<TraceRecord> {
+        let trace = RingBufferSink::new(records.len());
+        records.into_iter().for_each(|r| trace.record(r));
+        lint_trace(&trace)
     }
 
     #[test]
     fn lint_trace_passes_a_clean_trace_and_returns_it() {
         let records = fixture("TR1");
-        assert_eq!(replay("clean", records.clone()), records);
+        assert_eq!(replay(records.clone()), records);
     }
 
     #[test]
@@ -216,24 +202,6 @@ mod tests {
                 }
             }
         }
-        replay("flattened", records);
-    }
-
-    /// The only test of this crate that touches the environment.
-    #[test]
-    fn quick_is_on_for_one_only() {
-        for (value, on) in [
-            (None, false),
-            (Some(""), false),
-            (Some("0"), false),
-            (Some("1"), true),
-        ] {
-            match value {
-                Some(v) => std::env::set_var("EXP_QUICK", v),
-                None => std::env::remove_var("EXP_QUICK"),
-            }
-            assert_eq!(quick(), on, "EXP_QUICK={value:?}");
-        }
-        std::env::remove_var("EXP_QUICK");
+        replay(records);
     }
 }

@@ -1,4 +1,6 @@
-//! Plain-text table formatting for the experiment binaries.
+//! Plain-text table formatting for the experiment transcripts.
+
+use std::io::{self, Write};
 
 /// A simple aligned text table.
 pub struct Table {
@@ -54,9 +56,9 @@ impl Table {
         out
     }
 
-    /// Prints the table to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
+    /// Writes the rendered table to `out`.
+    pub fn write(&self, out: &mut dyn Write) -> io::Result<()> {
+        out.write_all(self.render().as_bytes())
     }
 }
 

@@ -213,7 +213,12 @@ pub(crate) struct Handler {
     /// because registration snapshots the value under the observer list.
     observers: TieredMutex<Vec<Observer>>,
     next_observer: AtomicU64,
+    /// Reads through a cached subscription handle.
     accesses: AtomicU64,
+    /// Reads by key through the manager. Each read bumps one of the two
+    /// counters, so the manager's `fast_reads` is a sum of these, never
+    /// a difference of two totals bumped one after the other.
+    key_accesses: AtomicU64,
     updates: AtomicU64,
     computes: AtomicU64,
     /// Id of the last epoch flush that recomputed this item (0 = never
@@ -250,6 +255,7 @@ impl Handler {
             observers: TieredMutex::new(LockTier::Observers, Vec::new()),
             next_observer: AtomicU64::new(0),
             accesses: AtomicU64::new(0),
+            key_accesses: AtomicU64::new(0),
             updates: AtomicU64::new(0),
             computes: AtomicU64::new(0),
             last_epoch: AtomicU64::new(0),
@@ -433,11 +439,21 @@ impl Handler {
         self.accesses.fetch_add(1, Ordering::Relaxed);
     }
 
+    pub(crate) fn record_key_access(&self) {
+        self.key_accesses.fetch_add(1, Ordering::Relaxed);
+    }
+
     pub(crate) fn record_compute(&self) {
         self.computes.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Every read, cached and by key.
     pub(crate) fn access_count(&self) -> u64 {
+        self.fast_access_count() + self.key_accesses.load(Ordering::Relaxed)
+    }
+
+    /// Reads through a cached subscription handle.
+    pub(crate) fn fast_access_count(&self) -> u64 {
         self.accesses.load(Ordering::Relaxed)
     }
 

@@ -33,7 +33,7 @@
 //!   under the bookkeeping mutex — concurrent readers only share a
 //!   shard read lock.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{hash_map, BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
@@ -537,11 +537,16 @@ impl MetadataManager {
         self.inner.lock().handlers.values().cloned().collect()
     }
 
-    /// Calls `f` on every live handler (in no particular order) under
-    /// the bookkeeping lock; `f` must not call back into the manager's
+    /// Runs `f` over the live handlers (in no particular order) under
+    /// the bookkeeping lock and returns its result; a counter that
+    /// exclusion folds under the same lock, read inside `f`, agrees with
+    /// the handlers `f` sees. `f` must not call back into the manager's
     /// bookkeeping.
-    pub(crate) fn for_each_handler(&self, mut f: impl FnMut(&Arc<Handler>)) {
-        self.inner.lock().handlers.values().for_each(&mut f);
+    pub(crate) fn with_handlers<T>(
+        &self,
+        f: impl FnOnce(hash_map::Values<'_, MetadataKey, Arc<Handler>>) -> T,
+    ) -> T {
+        f(self.inner.lock().handlers.values())
     }
 
     /// A weak self-reference for compute closures of the meta node.
@@ -1009,6 +1014,9 @@ impl MetadataManager {
         self.slots
             .retired_accesses
             .fetch_add(handler.access_count(), Ordering::Relaxed);
+        self.slots
+            .retired_fast_reads
+            .fetch_add(handler.fast_access_count(), Ordering::Relaxed);
         for dep in &handler.resolved_deps {
             if let Some(list) = inner.dependents.get_mut(&dep.source) {
                 list.retain(|k| k != key);
@@ -1182,8 +1190,7 @@ impl MetadataManager {
         let handler = self
             .handler(key)
             .ok_or_else(|| MetadataError::NotIncluded(key.clone()))?;
-        handler.record_access();
-        self.slots.key_accesses.fetch_add(1, Ordering::Relaxed);
+        handler.record_key_access();
         Ok(self.access_handler(&handler))
     }
 
@@ -1197,8 +1204,7 @@ impl MetadataManager {
         let handler = self
             .handler(key)
             .ok_or_else(|| MetadataError::NotIncluded(key.clone()))?;
-        handler.record_access();
-        self.slots.key_accesses.fetch_add(1, Ordering::Relaxed);
+        handler.record_key_access();
         if self.is_quarantined(&handler) {
             return Err(MetadataError::Quarantined(key.clone()));
         }
@@ -1269,10 +1275,12 @@ impl MetadataManager {
     /// key: one pass over the handlers, skipping the never-profiled.
     pub fn profiled_handler_stats(&self) -> Vec<(MetadataKey, HandlerStats)> {
         let mut profiled = Vec::new();
-        self.for_each_handler(|h| {
-            let stats = h.stats();
-            if stats.latency_p50.is_some() {
-                profiled.push((h.key.clone(), stats));
+        self.with_handlers(|handlers| {
+            for h in handlers {
+                let stats = h.stats();
+                if stats.latency_p50.is_some() {
+                    profiled.push((h.key.clone(), stats));
+                }
             }
         });
         profiled.sort_by(|a, b| a.0.cmp(&b.0));

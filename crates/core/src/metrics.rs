@@ -167,10 +167,9 @@ pub(crate) struct MetricSlots {
     /// Access counts of excluded handlers, folded in on removal so the
     /// access total survives handler death.
     pub(crate) retired_accesses: AtomicU64,
-    /// Key-based accesses only. Cached-subscription reads count on their
-    /// handler alone (one atomic on the hot path); `fast_reads` is
-    /// derived as `total - key-based` where reported.
-    pub(crate) key_accesses: AtomicU64,
+    /// The cached-subscription share of `retired_accesses`. Every read
+    /// counts on its handler alone (one atomic on either read path).
+    pub(crate) retired_fast_reads: AtomicU64,
 }
 
 impl MetricSlots {
@@ -248,20 +247,24 @@ pub struct ManagerStats {
 
 impl MetadataManager {
     /// The single pass over the live handlers behind every derived
-    /// metric, under one bookkeeping lock.
+    /// metric, under one bookkeeping lock. The retired totals are read
+    /// under it too: exclusion folds a removed handler's accesses into
+    /// them under that lock, so each is counted once, in the walk or in
+    /// the total, and `accesses` and `fast_reads` never go down.
     fn scan_handlers(&self) -> HandlerScan {
-        let mut scan = HandlerScan::default();
-        self.for_each_handler(|h| {
-            scan.handlers += 1;
-            scan.subscriptions += h.subscriptions.load(Ordering::Relaxed) as u64;
-            scan.accesses += h.access_count();
-            scan.quarantined += u64::from(self.is_quarantined(h));
-        });
-        scan.accesses += self.slots.retired_accesses.load(Ordering::Relaxed);
-        scan.fast_reads = scan
-            .accesses
-            .saturating_sub(self.slots.key_accesses.load(Ordering::Relaxed));
-        scan
+        self.with_handlers(|handlers| {
+            let mut scan = HandlerScan::default();
+            for h in handlers {
+                scan.handlers += 1;
+                scan.subscriptions += h.subscriptions.load(Ordering::Relaxed) as u64;
+                scan.accesses += h.access_count();
+                scan.fast_reads += h.fast_access_count();
+                scan.quarantined += u64::from(self.is_quarantined(h));
+            }
+            scan.accesses += self.slots.retired_accesses.load(Ordering::Relaxed);
+            scan.fast_reads += self.slots.retired_fast_reads.load(Ordering::Relaxed);
+            scan
+        })
     }
 
     /// Reads `m`, walking the handlers (once per `scan` cell) only if

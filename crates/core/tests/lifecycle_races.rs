@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use streammeta_core::{
     EpochConfig, EventKey, ItemDef, MetadataError, MetadataKey, MetadataManager, MetadataValue,
-    NodeId, NodeRegistry, PropagationMode,
+    Metric, MetricKind, NodeId, NodeRegistry, PropagationMode,
 };
 use streammeta_time::{TimeSpan, VirtualClock};
 
@@ -239,4 +239,74 @@ fn concurrent_lifecycle_fuzz_never_panics() {
     for t in threads {
         t.join().expect("no fuzz thread may panic");
     }
+}
+
+/// Every `Counter`-kind metric, read through `metrics()`, only ever
+/// grows while subscribers, readers, droppers and a force-excluder race
+/// over a two-item cascade. `accesses` used to go down: the handler
+/// walk and the load of the retired-access total were two critical
+/// sections, so an exclusion folding in between was counted twice in
+/// one scan and once in the next.
+#[test]
+fn counter_metrics_never_decrease_under_churn() {
+    const ITERS: usize = 2000;
+    let mgr = setup();
+    let (reg, _) = counter_registry();
+    reg.define(
+        ItemDef::triggered("y")
+            .dep_local("x")
+            .compute(|ctx| ctx.dep("x"))
+            .build(),
+    );
+    mgr.attach_node(reg);
+    let counters: Vec<Metric> = Metric::ALL
+        .iter()
+        .copied()
+        .filter(|m| m.kind() == MetricKind::Counter)
+        .collect();
+    let read = |mgr: &MetadataManager| -> Vec<Option<u64>> {
+        let all = mgr.metrics();
+        counters
+            .iter()
+            .map(|c| all.iter().find(|(m, _)| m == c).expect("in the table").1)
+            .collect()
+    };
+
+    let done = AtomicU64::new(0);
+    std::thread::scope(|s| {
+        for t in 0..2 {
+            let (mgr, done) = (&mgr, &done);
+            s.spawn(move || {
+                for i in 0..ITERS {
+                    let item = if (t + i) % 2 == 0 { "x" } else { "y" };
+                    if let Ok(sub) = mgr.subscribe(key(item)) {
+                        let _ = sub.get();
+                        let _ = mgr.read(&key(item));
+                        drop(sub);
+                    }
+                }
+                done.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        {
+            let (mgr, done) = (&mgr, &done);
+            s.spawn(move || {
+                for i in 0..ITERS {
+                    let _ = mgr.force_exclude(&key(if i % 2 == 0 { "x" } else { "y" }));
+                }
+                done.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        let mut last = read(&mgr);
+        while done.load(Ordering::SeqCst) < 3 {
+            let now = read(&mgr);
+            for ((metric, before), after) in counters.iter().zip(&last).zip(&now) {
+                assert!(
+                    after >= before,
+                    "{metric:?} went down from {before:?} to {after:?}"
+                );
+            }
+            last = now;
+        }
+    });
 }

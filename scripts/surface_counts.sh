@@ -29,7 +29,7 @@ echo "| \`manager.rs\` lines | $(wc -l <"$manager") |"
 echo "| public \`set_*\`/\`enable_*\` on \`MetadataManager\` | $(grep -cE '^    pub fn (set|enable)_' "$manager") |"
 echo "| manager state fields (\`MetadataManager\` + \`Inner\` + \`EpochQueue\`) | $(fields | wc -l) |"
 echo "| … of which atomics | $(fields | grep -c ': Atomic') |"
-echo "| experiment binaries | $(find crates/bench/src/bin -name 'exp_*.rs' | wc -l) |"
+echo "| figure tests (\`crates/bench/tests/figures.rs\`) | $(grep -c '^#\[test\]' crates/bench/tests/figures.rs) |"
 echo "| vendored crates under \`third_party/\` | $(find third_party -mindepth 1 -maxdepth 1 -type d | wc -l) |"
 echo "| files tracked under \`results/\` | $(git ls-files results | wc -l) |"
 echo "| distinct env vars read under \`crates/bench/src\` | $(grep -rhoE 'env::var(_os)?\("[A-Z0-9_]+"' crates/bench/src | grep -oE '"[A-Z0-9_]+"' | sort -u | wc -l) |"
