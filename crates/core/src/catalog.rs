@@ -11,7 +11,10 @@
 //! column list, the CQL schema, and the one access path,
 //! [`MetadataManager::catalog_scan`], which hands a visitor one lazy
 //! [`CatalogRow`] per row source: only the cells the visitor reads are
-//! built, and only the rows it keeps are sorted by key.
+//! built. The handler relations read their rows from one key-ordered
+//! handler snapshot that the manager keeps until the handler set
+//! changes, so consecutive scans neither copy nor sort the handlers
+//! again, and a handler formats its key text once, on its first read.
 //! [`MetadataManager::catalog_rows`] is that scan keeping every cell of
 //! every row.
 //!
@@ -303,7 +306,7 @@ pub(crate) struct Edge {
 /// resolver did *not* pick for this inclusion, then the live edges —
 /// what the inclusion actually reads.
 fn edges(h: &Handler) -> Vec<Edge> {
-    let dependent = key_text(&h.key);
+    let dependent = h.key_text();
     let edge = |source: &DepSource, role: &Arc<str>, certain| Edge {
         source: source.to_string(),
         kind: source.kind(),
@@ -384,7 +387,7 @@ impl std::fmt::Write for StackText {
 }
 
 /// The key's display text (`key.to_string()`) as a shared string.
-fn key_text(key: &MetadataKey) -> Arc<str> {
+pub(crate) fn key_text(key: &MetadataKey) -> Arc<str> {
     let mut text = StackText {
         buf: [0; 96],
         len: 0,
@@ -420,7 +423,7 @@ fn usize_cell(n: usize) -> MetadataValue {
 // ---------------------------------------------------------------------
 
 const KEY: RelationColumn = col("key", "qualified item key, `node/path`", Str, |s, _| {
-    Text(key_text(&s.handler().h.key))
+    Text(s.handler().h.key_text().clone())
 });
 const NODE: RelationColumn = col("node", "graph node id", Int, |s, _| {
     U64(s.handler().h.key.node.0 as u64)
@@ -802,6 +805,10 @@ impl CatalogRow<'_> {
     /// already built are moved out of the row, so project last; a
     /// column listed twice is built twice.
     pub fn cells(&mut self, columns: &[usize]) -> Vec<MetadataValue> {
+        if self.scratch.filled.is_empty() {
+            // Nothing read yet: build straight into the row.
+            return columns.iter().map(|&column| self.build(column)).collect();
+        }
         let mut row = Vec::with_capacity(columns.len());
         for &column in columns {
             let built = self.scratch.cells[column].take();
@@ -847,9 +854,12 @@ impl MetadataManager {
     /// unchanged state are identical), sequence order for `sys.trace`
     /// and `sys.spans`.
     ///
-    /// The bookkeeping lock is held only to copy the handler list; no
-    /// manager lock is held while `visit` runs. A visitor that keeps
-    /// nothing (a count, a running aggregate) allocates nothing per row.
+    /// The handler relations walk one key-ordered snapshot of the live
+    /// handlers, shared by every scan until the handler set changes; the
+    /// first scan after an inclusion or exclusion rebuilds it, holding
+    /// the bookkeeping lock only to copy the handler list. No manager
+    /// lock is held while `visit` runs. A visitor that keeps nothing (a
+    /// count, a running aggregate) allocates nothing per row.
     ///
     /// `sys.trace` has record rows only while the installed trace sink
     /// is or contains a [`crate::RingBufferSink`], and a `trace_file`
@@ -875,28 +885,22 @@ impl MetadataManager {
             | SystemRelation::Subscriptions
             | SystemRelation::Quarantine
             | SystemRelation::Dependencies => {
-                let handlers = self.handlers_snapshot();
-                // Each kept row with its sort key inline — node, then
-                // item path, which is `MetadataKey`'s order — so sorting
-                // the survivors rarely has to follow a pointer.
-                let mut kept: Vec<(NodeId, &str, T)> = Vec::new();
-                for h in &handlers {
-                    let mut keep = |source: RowSource<'_>| {
-                        if let Some(row) = scan.row(source) {
-                            kept.push((h.key.node, h.key.item.as_str(), row));
-                        }
-                    };
+                // Already in key order; the edges of one item follow in
+                // edge order.
+                let handlers = self.handlers_by_key();
+                let mut kept = Vec::with_capacity(handlers.len());
+                for h in handlers.iter() {
                     match relation {
                         SystemRelation::Dependencies => {
-                            edges(h).iter().map(RowSource::Edge).for_each(keep)
+                            for edge in &edges(h) {
+                                kept.extend(scan.row(RowSource::Edge(edge)));
+                            }
                         }
                         SystemRelation::Quarantine if h.def.fallback().is_none() => {}
-                        _ => keep(RowSource::Handler(HandlerRow::new(h))),
+                        _ => kept.extend(scan.row(RowSource::Handler(HandlerRow::new(h)))),
                     }
                 }
-                // Stable: the edges of one item stay in edge order.
-                kept.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
-                kept.into_iter().map(|(_, _, row)| row).collect()
+                kept
             }
             SystemRelation::Trace => {
                 let sink = self.trace_sink();
@@ -1151,7 +1155,7 @@ mod tests {
             }
         }
         let now = manager.clock().now();
-        let mut handlers = manager.handlers_snapshot();
+        let mut handlers: Vec<Arc<Handler>> = manager.with_handlers(|h| h.cloned().collect());
         handlers.sort_by(|a, b| a.key.cmp(&b.key));
         match relation {
             SystemRelation::Items => handlers
@@ -1461,8 +1465,90 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Every handler relation, scanned, equals the reference builder —
+    /// which reads the live handler map, not the cached snapshot.
+    fn assert_handler_relations_current(manager: &MetadataManager, step: &str) {
+        for relation in [
+            SystemRelation::Items,
+            SystemRelation::Handlers,
+            SystemRelation::Dependencies,
+            SystemRelation::Subscriptions,
+            SystemRelation::Quarantine,
+        ] {
+            assert_eq!(
+                manager.catalog_rows(relation),
+                reference_rows(manager, relation),
+                "after {step}: {}",
+                relation.name()
+            );
+        }
+    }
+
     #[test]
-    fn scan_builds_only_the_cells_read_and_sorts_only_the_rows_kept() {
+    fn every_inclusion_and_exclusion_invalidates_the_snapshot() {
+        let (_clock, manager) = setup();
+        let key = |item: &str| MetadataKey::new(NodeId(1), item);
+        assert_handler_relations_current(&manager, "nothing");
+        let cost = manager.subscribe(key("cost")).unwrap();
+        assert_handler_relations_current(&manager, "subscribe cost");
+        let size = manager.subscribe(key("size")).unwrap();
+        assert_handler_relations_current(&manager, "subscribe size");
+        drop(cost);
+        assert_handler_relations_current(&manager, "drop cost");
+        assert!(manager.force_exclude(&key("size")));
+        assert_handler_relations_current(&manager, "force_exclude size");
+        drop(size);
+        // A failed inclusion includes `rate`, then rolls it back.
+        manager.registry(NodeId(1)).unwrap().define(
+            ItemDef::triggered("broken")
+                .dep_local("rate")
+                .dep_local("missing")
+                .compute(|ctx| ctx.dep("rate"))
+                .build(),
+        );
+        assert!(manager.subscribe(key("broken")).is_err());
+        assert_handler_relations_current(&manager, "rolled-back subscribe");
+        manager
+            .redefine(
+                NodeId(1),
+                ItemDef::triggered("cost")
+                    .dep_local("size")
+                    .compute(|ctx| ctx.dep("size"))
+                    .build(),
+            )
+            .unwrap();
+        assert_handler_relations_current(&manager, "redefine cost");
+        let _cost = manager.subscribe(key("cost")).unwrap();
+        assert_handler_relations_current(&manager, "re-subscribe cost");
+        assert_eq!(
+            manager.included_keys(),
+            vec![key("cost"), key("size")],
+            "the redefinition is what was included"
+        );
+    }
+
+    #[test]
+    fn the_snapshot_keeps_no_excluded_handler_alive() {
+        let (_clock, manager) = setup();
+        let key = MetadataKey::new(NodeId(1), "cost");
+        let cost = manager.subscribe(key.clone()).unwrap();
+        let handler = Arc::downgrade(cost.cached_handler());
+        assert_eq!(manager.catalog_rows(SystemRelation::Handlers).len(), 2);
+        drop(cost);
+        assert!(handler.upgrade().is_none(), "dropped with its subscription");
+
+        // A force-exclusion leaves the subscription as the last holder.
+        let cost = manager.subscribe(key.clone()).unwrap();
+        let handler = Arc::downgrade(cost.cached_handler());
+        assert_eq!(manager.catalog_rows(SystemRelation::Handlers).len(), 2);
+        assert!(manager.force_exclude(&key));
+        assert!(handler.upgrade().is_some(), "pinned by the subscription");
+        drop(cost);
+        assert!(handler.upgrade().is_none(), "dropped with its last holder");
+    }
+
+    #[test]
+    fn scan_builds_only_the_cells_read() {
         let (_clock, manager) = setup();
         let _cost = manager
             .subscribe(MetadataKey::new(NodeId(1), "cost"))

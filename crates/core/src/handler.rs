@@ -15,6 +15,7 @@ use std::sync::{Arc, OnceLock};
 use crate::sync::{LockTier, TieredMutex, TieredRwLock};
 use streammeta_time::{TaskId, Timestamp};
 
+use crate::catalog::key_text;
 use crate::histogram::HistogramMonitor;
 use crate::item::{ItemDef, Mechanism, ResolvedDep};
 use crate::trace::SpanContext;
@@ -235,6 +236,8 @@ pub(crate) struct Handler {
     /// manager's latency profiling switch is the gate) never pays for
     /// the buckets.
     latency: OnceLock<Arc<HistogramMonitor>>,
+    /// See [`Self::key_text`]; inclusion leaves it empty.
+    key_text: OnceLock<Arc<str>>,
 }
 
 impl Handler {
@@ -261,6 +264,7 @@ impl Handler {
             last_epoch: AtomicU64::new(0),
             defunct: AtomicBool::new(false),
             latency: OnceLock::new(),
+            key_text: OnceLock::new(),
         }
     }
 
@@ -277,12 +281,21 @@ impl Handler {
             .observe(ns);
     }
 
-    /// Compute-latency p50/p95/p99 in nanoseconds, from one snapshot of
-    /// the histogram; `None` if no evaluation was ever profiled.
+    /// Compute-latency p50/p95/p99 in nanoseconds, from one copy of the
+    /// histogram's counts (on the stack); `None` if no evaluation was
+    /// ever profiled.
     pub(crate) fn latency_quantiles(&self) -> Option<[u64; 3]> {
-        let snapshot = self.latency.get()?.snapshot();
-        let q = |p| snapshot.percentile(p).map(|v| v.max(0) as u64);
-        Some([q(0.50)?, q(0.95)?, q(0.99)?])
+        let quantiles = self
+            .latency
+            .get()?
+            .percentiles::<LATENCY_BUCKETS, 3>([0.50, 0.95, 0.99])?;
+        Some(quantiles.map(|v| v.max(0) as u64))
+    }
+
+    /// The key's display text, built by the first catalog read of this
+    /// handler and shared by every later one.
+    pub(crate) fn key_text(&self) -> &Arc<str> {
+        self.key_text.get_or_init(|| key_text(&self.key))
     }
 
     /// The item's statistics as reported by

@@ -89,6 +89,32 @@ impl HistogramMonitor {
             overflow: self.overflow.load(Ordering::Relaxed),
         }))
     }
+
+    /// [`HistogramSnapshot::percentile`] of the current counts for each
+    /// of `ps`, without allocating: the counts are copied once into a
+    /// stack array of `B` buckets and all ranks are found in one walk.
+    ///
+    /// # Panics
+    /// If the histogram has more than `B` buckets.
+    pub(crate) fn percentiles<const B: usize, const N: usize>(
+        &self,
+        ps: [f64; N],
+    ) -> Option<[i64; N]> {
+        let mut counts = [0; B];
+        let counts = &mut counts[..self.buckets.len()];
+        for (count, bucket) in counts.iter_mut().zip(&self.buckets) {
+            *count = bucket.load(Ordering::Relaxed);
+        }
+        SnapshotData {
+            lo: self.lo,
+            hi: self.hi,
+            width: self.width,
+            counts: &*counts,
+            underflow: self.underflow.load(Ordering::Relaxed),
+            overflow: self.overflow.load(Ordering::Relaxed),
+        }
+        .percentiles(ps)
+    }
 }
 
 /// An immutable histogram snapshot. One shared pointer wide, so the
@@ -97,14 +123,56 @@ impl HistogramMonitor {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot(Arc<SnapshotData>);
 
+/// The counts of a histogram with its domain; `C` holds the buckets (a
+/// box in a [`HistogramSnapshot`], a stack array while ranking live
+/// counts).
 #[derive(Debug, PartialEq, Eq)]
-struct SnapshotData {
+struct SnapshotData<C = Box<[u64]>> {
     lo: i64,
     hi: i64,
     width: u64,
-    counts: Box<[u64]>,
+    counts: C,
     underflow: u64,
     overflow: u64,
+}
+
+impl<C: AsRef<[u64]>> SnapshotData<C> {
+    /// Nearest-rank percentiles for each of `ps` (`0.0 < p <= 1.0`),
+    /// each reported as the upper edge of the bucket holding its rank.
+    /// Underflow ranks report the domain's lower edge, overflow ranks
+    /// saturate at the upper edge. `None` before any observation.
+    fn percentiles<const N: usize>(&self, ps: [f64; N]) -> Option<[i64; N]> {
+        let counts = self.counts.as_ref();
+        let total = counts.iter().sum::<u64>() + self.underflow + self.overflow;
+        if total == 0 {
+            return None;
+        }
+        let ranks = ps.map(|p| ((p * total as f64).ceil() as u64).clamp(1, total));
+        let mut found = [None; N];
+        let mut settle = |cum: u64, edge: i64| {
+            for (slot, &rank) in found.iter_mut().zip(&ranks) {
+                if slot.is_none() && rank <= cum {
+                    *slot = Some(edge);
+                }
+            }
+            found.iter().all(Option::is_some)
+        };
+        let mut cum = self.underflow;
+        if !settle(cum, self.lo) {
+            for (i, &count) in counts.iter().enumerate() {
+                cum += count;
+                // Bucket edges are spaced by the rounded-up width, so the
+                // last edge can exceed the configured domain top when the
+                // span is not divisible by the bucket count; clamp so the
+                // reported percentile stays within `[lo, hi]`.
+                let edge = (self.lo + ((i as u64 + 1) * self.width) as i64).min(self.hi);
+                if settle(cum, edge) {
+                    break;
+                }
+            }
+        }
+        Some(found.map(|v| v.unwrap_or(self.hi)))
+    }
 }
 
 impl HistogramSnapshot {
@@ -183,26 +251,7 @@ impl HistogramSnapshot {
     /// report the domain's lower edge, overflow ranks saturate at the
     /// upper edge. `None` before any observation.
     pub fn percentile(&self, p: f64) -> Option<i64> {
-        let total = self.total();
-        if total == 0 {
-            return None;
-        }
-        let rank = ((p * total as f64).ceil() as u64).clamp(1, total);
-        let mut cum = self.0.underflow;
-        if rank <= cum {
-            return Some(self.0.lo);
-        }
-        for (i, &count) in self.0.counts.iter().enumerate() {
-            cum += count;
-            if rank <= cum {
-                // Bucket edges are spaced by the rounded-up width, so the
-                // last edge can exceed the configured domain top when the
-                // span is not divisible by the bucket count; clamp so the
-                // reported percentile stays within `[lo, hi]`.
-                return Some((self.0.lo + ((i as u64 + 1) * self.0.width) as i64).min(self.0.hi));
-            }
-        }
-        Some(self.0.hi)
+        self.0.percentiles([p]).map(|[v]| v)
     }
 
     /// Renders `bucket_lo:count` pairs, for textual metadata export.
@@ -311,6 +360,27 @@ mod tests {
             HistogramMonitor::new(0, 10, 2).snapshot().percentile(0.5),
             None
         );
+    }
+
+    #[test]
+    fn live_percentiles_equal_the_snapshot_ones() {
+        // Underflow, in-range, overflow and an indivisible span.
+        let h = active(0, 10, 3);
+        for v in [-5, 0, 3, 4, 7, 9, 11, 50] {
+            h.observe(v);
+            let s = h.snapshot();
+            let ps = [0.01, 0.2, 0.5, 0.95, 0.99, 1.0];
+            assert_eq!(
+                h.percentiles::<3, 6>(ps),
+                Some(ps.map(|p| s.percentile(p).unwrap()))
+            );
+            // Ranks in any order.
+            assert_eq!(
+                h.percentiles::<8, 2>([0.99, 0.2]),
+                Some([s.percentile(0.99).unwrap(), s.percentile(0.2).unwrap()])
+            );
+        }
+        assert_eq!(active(0, 10, 3).percentiles::<3, 1>([0.5]), None);
     }
 
     #[test]

@@ -34,6 +34,7 @@
 //!   shard read lock.
 
 use std::collections::{hash_map, BTreeMap, HashMap, HashSet, VecDeque};
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
@@ -48,7 +49,7 @@ use crate::partition::PartitionedMetadataPlane;
 use crate::registry::NodeRegistry;
 use crate::shards::HandlerShards;
 use crate::subscription::Subscription;
-use crate::sync::{LockTier, TieredMutex, TieredRwLock};
+use crate::sync::{LockTier, TieredMutex, TieredMutexGuard, TieredRwLock};
 use crate::trace::{
     SpanContext, SpanKind, SpanRecord, SpanSampling, SpanStore, TraceEvent, TraceKind, TraceRecord,
     TraceSink,
@@ -65,6 +66,52 @@ struct Inner {
     handlers: HashMap<MetadataKey, Arc<Handler>>,
     /// Inverted dependency edges: source -> items that depend on it.
     dependents: HashMap<DepSource, Vec<MetadataKey>>,
+    /// Bumped by every change to `handlers`.
+    generation: u64,
+    /// `handlers` in key order as of `generation`, cached by the first
+    /// catalog scan after a change ([`MetadataManager::handlers_by_key`]).
+    by_key: Option<Arc<[Arc<Handler>]>>,
+    /// The `by_key` a change retired, dropped after the lock is released
+    /// (see [`Bookkeeping`]) so that no `Arc` traffic runs under it.
+    retired: Option<Arc<[Arc<Handler>]>>,
+}
+
+impl Inner {
+    /// Records a change to `handlers`: the cached key-ordered snapshot
+    /// no longer matches and is retired.
+    fn handlers_changed(&mut self) {
+        self.generation += 1;
+        if let Some(stale) = self.by_key.take() {
+            self.retired = Some(stale);
+        }
+    }
+}
+
+/// The bookkeeping lock as held by the paths that change the handler
+/// set. On drop it releases the lock, then drops the snapshot a change
+/// retired, so the `Arc` decrement per handler that costs runs outside
+/// it.
+struct Bookkeeping<'a>(Option<TieredMutexGuard<'a, Inner>>);
+
+impl Deref for Bookkeeping<'_> {
+    type Target = Inner;
+    fn deref(&self) -> &Inner {
+        self.0.as_ref().expect("held until drop")
+    }
+}
+
+impl DerefMut for Bookkeeping<'_> {
+    fn deref_mut(&mut self) -> &mut Inner {
+        self.0.as_mut().expect("held until drop")
+    }
+}
+
+impl Drop for Bookkeeping<'_> {
+    fn drop(&mut self) {
+        let retired = self.0.as_mut().and_then(|inner| inner.retired.take());
+        self.0 = None;
+        drop(retired);
+    }
 }
 
 /// Result of one contained compute evaluation.
@@ -531,10 +578,32 @@ impl MetadataManager {
         Some(ctx)
     }
 
-    /// All live handlers, in no particular order, copied out from under
-    /// the bookkeeping lock — the raw material of the catalog relations.
-    pub(crate) fn handlers_snapshot(&self) -> Vec<Arc<Handler>> {
-        self.inner.lock().handlers.values().cloned().collect()
+    /// The bookkeeping lock, for a path that changes the handler set.
+    fn bookkeeping(&self) -> Bookkeeping<'_> {
+        Bookkeeping(Some(self.inner.lock()))
+    }
+
+    /// The live handlers in key order — the raw material of the catalog
+    /// relations — shared by every catalog scan until the handler set
+    /// changes. The first scan after a change copies the handler `Arc`s
+    /// under the bookkeeping lock, sorts them after releasing it, and
+    /// caches the result unless the set changed in the meantime.
+    pub(crate) fn handlers_by_key(&self) -> Arc<[Arc<Handler>]> {
+        let (generation, mut handlers) = {
+            let inner = self.inner.lock();
+            if let Some(cached) = &inner.by_key {
+                return cached.clone();
+            }
+            let handlers: Vec<Arc<Handler>> = inner.handlers.values().cloned().collect();
+            (inner.generation, handlers)
+        };
+        handlers.sort_unstable_by(|a, b| a.key.cmp(&b.key));
+        let sorted: Arc<[Arc<Handler>]> = handlers.into();
+        let mut inner = self.inner.lock();
+        if inner.generation == generation && inner.by_key.is_none() {
+            inner.by_key = Some(sorted.clone());
+        }
+        sorted
     }
 
     /// Runs `f` over the live handlers (in no particular order) under
@@ -748,7 +817,7 @@ impl MetadataManager {
         let mut created: Vec<Arc<Handler>> = Vec::new();
         let mut log: Vec<MetadataKey> = Vec::new();
         let result = {
-            let mut inner = self.inner.lock();
+            let mut inner = self.bookkeeping();
             let mut stack = Vec::new();
             self.include(
                 &mut inner,
@@ -907,6 +976,7 @@ impl MetadataManager {
             }
         }
         inner.handlers.insert(key.clone(), handler.clone());
+        inner.handlers_changed();
         self.shards.insert(key.clone(), handler.clone());
         // The stack holds the ancestors of `key` here, so its length is
         // the dependency depth; emission at insert time makes the trace
@@ -981,7 +1051,7 @@ impl MetadataManager {
     fn rollback(&self, log: &[MetadataKey]) {
         let mut removed = Vec::new();
         {
-            let mut inner = self.inner.lock();
+            let mut inner = self.bookkeeping();
             for key in log.iter().rev() {
                 self.decrement(&mut inner, key, &mut removed);
             }
@@ -1010,6 +1080,7 @@ impl MetadataManager {
         let Some(handler) = inner.handlers.remove(key) else {
             return;
         };
+        inner.handlers_changed();
         self.shards.remove(key);
         self.slots
             .retired_accesses
@@ -1040,7 +1111,7 @@ impl MetadataManager {
     pub(crate) fn unsubscribe_handle(&self, key: &MetadataKey, handler: &Arc<Handler>) {
         let mut removed = Vec::new();
         let remaining_after = {
-            let mut inner = self.inner.lock();
+            let mut inner = self.bookkeeping();
             let live = inner
                 .handlers
                 .get(key)
@@ -1105,7 +1176,7 @@ impl MetadataManager {
     pub fn force_exclude(&self, key: &MetadataKey) -> bool {
         let mut removed = Vec::new();
         let remaining_after = {
-            let mut inner = self.inner.lock();
+            let mut inner = self.bookkeeping();
             let Some(handler) = inner.handlers.get(key) else {
                 return false;
             };
@@ -1272,19 +1343,16 @@ impl MetadataManager {
 
     /// The statistics of every included item with compute-latency
     /// observations (see [`Self::set_latency_profiling`]), sorted by
-    /// key: one pass over the handlers, skipping the never-profiled.
+    /// key: one pass over the catalog's key-ordered handler snapshot,
+    /// skipping the never-profiled.
     pub fn profiled_handler_stats(&self) -> Vec<(MetadataKey, HandlerStats)> {
-        let mut profiled = Vec::new();
-        self.with_handlers(|handlers| {
-            for h in handlers {
+        self.handlers_by_key()
+            .iter()
+            .filter_map(|h| {
                 let stats = h.stats();
-                if stats.latency_p50.is_some() {
-                    profiled.push((h.key.clone(), stats));
-                }
-            }
-        });
-        profiled.sort_by(|a, b| a.0.cmp(&b.0));
-        profiled
+                stats.latency_p50.is_some().then(|| (h.key.clone(), stats))
+            })
+            .collect()
     }
 
     /// The update mechanism of an included item.

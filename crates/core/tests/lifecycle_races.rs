@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use streammeta_core::{
     EpochConfig, EventKey, ItemDef, MetadataError, MetadataKey, MetadataManager, MetadataValue,
-    Metric, MetricKind, NodeId, NodeRegistry, PropagationMode,
+    Metric, MetricKind, NodeId, NodeRegistry, PropagationMode, SystemRelation,
 };
 use streammeta_time::{TimeSpan, VirtualClock};
 
@@ -309,4 +309,65 @@ fn counter_metrics_never_decrease_under_churn() {
             last = now;
         }
     });
+}
+
+/// Catalog scans racing inclusion and exclusion: each scan of
+/// `sys.handlers` is one handler set in strict key order, never a
+/// snapshot cached for one set and served after another was installed
+/// (that shows as a duplicate or out-of-order key). Nodes 9, 10 and 100
+/// sort differently as numbers and as text.
+#[test]
+fn catalog_scans_racing_churn_stay_key_ordered() {
+    const ITERS: usize = 300;
+    let mgr = setup();
+    let nodes = [NodeId(9), NodeId(10), NodeId(100)];
+    for node in nodes {
+        let reg = NodeRegistry::new(node);
+        reg.define(ItemDef::static_value("a", 1u64));
+        reg.define(
+            ItemDef::triggered("b")
+                .dep_local("a")
+                .compute(|ctx| ctx.dep("a"))
+                .build(),
+        );
+        mgr.attach_node(reg);
+    }
+    let _held = mgr.subscribe(MetadataKey::new(NodeId(10), "a")).unwrap();
+    let done = AtomicU64::new(0);
+    std::thread::scope(|s| {
+        for t in 0..2 {
+            let (mgr, done) = (&mgr, &done);
+            s.spawn(move || {
+                for i in 0..ITERS {
+                    let node = nodes[(t + i) % nodes.len()];
+                    let item = if i % 2 == 0 { "a" } else { "b" };
+                    let sub = mgr.subscribe(MetadataKey::new(node, item)).unwrap();
+                    let _ = sub.get();
+                    drop(sub);
+                }
+                done.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        for _ in 0..2 {
+            let (mgr, done) = (&mgr, &done);
+            s.spawn(move || {
+                let mut scans = 0;
+                while done.load(Ordering::SeqCst) < 2 || scans < ITERS / 10 {
+                    let rows = mgr.catalog_rows(SystemRelation::Handlers);
+                    let keys: Vec<(u64, &str)> = rows
+                        .iter()
+                        .map(|row| (row[1].as_u64().unwrap(), row[2].as_text().unwrap()))
+                        .collect();
+                    assert!(
+                        keys.windows(2).all(|pair| pair[0] < pair[1]),
+                        "not strictly key-ordered: {keys:?}"
+                    );
+                    assert!(keys.contains(&(10, "a")), "the held item is missing");
+                    scans += 1;
+                }
+            });
+        }
+    });
+    assert_eq!(mgr.handler_count(), 1);
+    assert_eq!(mgr.catalog_rows(SystemRelation::Handlers).len(), 1);
 }
