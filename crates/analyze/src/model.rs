@@ -326,9 +326,9 @@ mod tests {
         // Include everything so the runtime relation covers the whole
         // graph; with only fixed dependencies both views must agree.
         let _sub = mgr.subscribe(MetadataKey::new(NodeId(0), "cost")).unwrap();
-        let render = |rows: Vec<Vec<MetadataValue>>| -> Vec<String> {
+        fn render<'a>(rows: impl IntoIterator<Item = &'a [MetadataValue]>) -> Vec<String> {
             let mut v: Vec<String> = rows
-                .iter()
+                .into_iter()
                 .map(|r| {
                     r.iter()
                         .map(|c| c.to_string())
@@ -338,9 +338,14 @@ mod tests {
                 .collect();
             v.sort();
             v
-        };
-        let static_rows = render(GraphModel::extract(&mgr).dependency_rows());
-        let runtime_rows = render(mgr.catalog_rows(SystemRelation::Dependencies));
+        }
+        let static_rows = render(
+            GraphModel::extract(&mgr)
+                .dependency_rows()
+                .iter()
+                .map(Vec::as_slice),
+        );
+        let runtime_rows = render(&mgr.catalog_rows(SystemRelation::Dependencies));
         assert!(!static_rows.is_empty());
         assert_eq!(static_rows, runtime_rows);
     }

@@ -11,12 +11,14 @@
 //! 2. **One-shot queries** — `SELECT key, p99 FROM sys.handlers WHERE
 //!    p99 > 1000000` singles out the slow item, and `COUNT(*)` over
 //!    `sys.handlers` builds no cell while the full snapshot builds every
-//!    row: counted in allocations on the calling thread, a full snapshot
-//!    of `sys.handlers` or `sys.items` after a warm scan makes one per
-//!    row (the row's `Vec`) and at most 64 besides, and the count fewer
-//!    than one per hundred rows. The count comes from
-//!    [`CountingAlloc`](crate::harness::CountingAlloc), which the running
-//!    binary must install as its global allocator.
+//!    row. Counted on the calling thread: after a warm scan, a full
+//!    snapshot of `sys.handlers` or `sys.items` makes at most 64
+//!    allocations whatever the row count (its cells share one buffer),
+//!    the count makes fewer than one per hundred rows, and the count
+//!    requests at most a fifth of the bytes the snapshot requests. The
+//!    counts come from [`CountingAlloc`](crate::harness::CountingAlloc),
+//!    which the running binary must install as its global allocator; a
+//!    probe checks that it does.
 //! 3. **Continuous alert** — the same query installed via
 //!    `install_continuous` fires through normal observer delivery and
 //!    names the slow item.
@@ -174,33 +176,43 @@ pub fn e21(out: &mut dyn Write) -> io::Result<()> {
         "slow item missing from one-shot matches"
     );
     writeln!(out, "\none-shot `{ALERT_QUERY}` names {SLOW}")?;
+    let probe = allocations(|| {
+        std::hint::black_box(Box::new(0u8));
+    });
+    assert_eq!(
+        probe.count, 1,
+        "a boxed byte counted {probe:?}: is CountingAlloc the global allocator?"
+    );
     // The warm scan builds the shared handler snapshot and every key
     // text; after it, a row's cells reuse what the handler holds.
     let _warm = manager.catalog_rows(SystemRelation::Handlers);
-    for relation in [SystemRelation::Handlers, SystemRelation::Items] {
+    let [handlers_snapshot, _] = [SystemRelation::Handlers, SystemRelation::Items].map(|relation| {
         let snapshot = allocations(|| {
             std::hint::black_box(manager.catalog_rows(relation));
         });
         assert!(
-            snapshot >= handlers as u64,
-            "the {} snapshot of {handlers} rows made {snapshot} allocations: \
-             is CountingAlloc the global allocator?",
-            relation.name()
+            snapshot.count <= 64,
+            "the {} snapshot of {handlers} rows made {} allocations: \
+             a snapshot makes a fixed number, none per row",
+            relation.name(),
+            snapshot.count
         );
-        assert!(
-            snapshot <= handlers as u64 + 64,
-            "the {} snapshot of {handlers} rows made {snapshot} allocations: \
-             more than one per row",
-            relation.name()
-        );
-    }
+        snapshot
+    });
     let counting = allocations(|| {
         std::hint::black_box(count("sys.handlers"));
     });
     assert!(
-        counting * 100 < handlers as u64,
-        "COUNT(*) over {handlers} rows of sys.handlers made {counting} allocations: \
-         a query that reads no cell must build none"
+        counting.count * 100 < handlers as u64,
+        "COUNT(*) over {handlers} rows of sys.handlers made {} allocations: \
+         a query that reads no cell must build none",
+        counting.count
+    );
+    assert!(
+        counting.bytes * 5 <= handlers_snapshot.bytes,
+        "COUNT(*) over sys.handlers requested {} bytes, its full snapshot {}",
+        counting.bytes,
+        handlers_snapshot.bytes
     );
     writeln!(
         out,

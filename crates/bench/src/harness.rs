@@ -123,7 +123,31 @@ pub fn lint_trace(trace: &RingBufferSink) -> Vec<TraceRecord> {
 }
 
 thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static ALLOCATIONS: Cell<Allocations> = const {
+        Cell::new(Allocations { count: 0, bytes: 0 })
+    };
+}
+
+/// What a call asked of the allocator on the calling thread.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Allocations {
+    /// Allocations and reallocations.
+    pub count: u64,
+    /// Bytes they requested (a reallocation counts its new size).
+    pub bytes: u64,
+}
+
+fn count(bytes: usize) {
+    let _ = ALLOCATIONS.try_with(|n| {
+        let Allocations {
+            count,
+            bytes: total,
+        } = n.get();
+        n.set(Allocations {
+            count: count + 1,
+            bytes: total + bytes as u64,
+        })
+    });
 }
 
 /// The system allocator, counting the allocations of each thread. A
@@ -136,7 +160,7 @@ pub struct CountingAlloc;
 // allocates (and is skipped once the thread's locals are torn down).
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        count(layout.size());
         System.alloc(layout)
     }
 
@@ -145,17 +169,21 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
 
-/// How many allocations `f` made on the calling thread; 0 unless
-/// [`CountingAlloc`] is the global allocator.
-pub fn allocations(f: impl FnOnce()) -> u64 {
+/// What `f` asked of the allocator on the calling thread; nothing
+/// unless [`CountingAlloc`] is the global allocator.
+pub fn allocations(f: impl FnOnce()) -> Allocations {
     let before = ALLOCATIONS.with(Cell::get);
     f();
-    ALLOCATIONS.with(Cell::get) - before
+    let after = ALLOCATIONS.with(Cell::get);
+    Allocations {
+        count: after.count - before.count,
+        bytes: after.bytes - before.bytes,
+    }
 }
 
 #[cfg(test)]

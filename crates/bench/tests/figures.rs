@@ -18,8 +18,9 @@
 //!     escapes, and the trace shows no unquarantined repeat-failure;
 //!   - E21: every `sys.*` relation has its declared arity and the row
 //!     count CQL counts, one-shot and continuous CQL single out the slow
-//!     item, and `COUNT(*)` builds no cell where the snapshot builds
-//!     every row (counted in allocations, hence the allocator below);
+//!     item, a full snapshot makes a fixed number of allocations, and
+//!     `COUNT(*)` builds no cell where the snapshot builds every row
+//!     (counted in allocations and bytes, hence the allocator below);
 //!   - E22: exactly N·F per-event against ⌈N/64⌉·F epoch recomputes, one
 //!     epoch per flush, exact coalescing, final values delivered;
 //!   - E23: sampling off mints no span (and the same check fails under

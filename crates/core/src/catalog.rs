@@ -11,12 +11,15 @@
 //! column list, the CQL schema, and the one access path,
 //! [`MetadataManager::catalog_scan`], which hands a visitor one lazy
 //! [`CatalogRow`] per row source: only the cells the visitor reads are
-//! built. The handler relations read their rows from one key-ordered
-//! handler snapshot that the manager keeps until the handler set
-//! changes, so consecutive scans neither copy nor sort the handlers
-//! again, and a handler formats its key text once, on its first read.
+//! built. The handler relations read their rows from one snapshot of
+//! the manager's handler map, which is ordered by key, so the first
+//! scan after a change copies it without a sort and later scans reuse
+//! it until the handler set changes. A handler formats its key text
+//! once, on its first read. Once a visitor reads cells, the walk
+//! prefetches the handler a fixed distance ahead, only the cache lines
+//! the cells read, so the misses of successive rows overlap.
 //! [`MetadataManager::catalog_rows`] is that scan keeping every cell of
-//! every row.
+//! every row, in one flat [`CatalogRows`] buffer.
 //!
 //! The `streammeta-cql` crate layers queryability on top: it registers
 //! each relation as a stream source so `SELECT key FROM sys.handlers
@@ -781,10 +784,14 @@ struct Scratch {
     cells: Vec<Option<MetadataValue>>,
     /// The slots of `cells` filled during this row.
     filled: Vec<usize>,
+    /// Whether any row of this scan built a cell: from then on the
+    /// handler walk prefetches the rows ahead.
+    read: bool,
 }
 
 impl CatalogRow<'_> {
-    fn build(&self, column: usize) -> MetadataValue {
+    fn build(&mut self, column: usize) -> MetadataValue {
+        self.scratch.read = true;
         (self.columns[column].cell)(&self.source, self.now)
     }
 
@@ -795,7 +802,8 @@ impl CatalogRow<'_> {
     /// If `column` is not a column index of the relation.
     pub fn cell(&mut self, column: usize) -> &MetadataValue {
         if self.scratch.cells[column].is_none() {
-            self.scratch.cells[column] = Some(self.build(column));
+            let built = self.build(column);
+            self.scratch.cells[column] = Some(built);
             self.scratch.filled.push(column);
         }
         self.scratch.cells[column].as_ref().expect("just built")
@@ -805,34 +813,133 @@ impl CatalogRow<'_> {
     /// already built are moved out of the row, so project last; a
     /// column listed twice is built twice.
     pub fn cells(&mut self, columns: &[usize]) -> Vec<MetadataValue> {
-        if self.scratch.filled.is_empty() {
-            // Nothing read yet: build straight into the row.
-            return columns.iter().map(|&column| self.build(column)).collect();
-        }
         let mut row = Vec::with_capacity(columns.len());
         for &column in columns {
-            let built = self.scratch.cells[column].take();
-            row.push(built.unwrap_or_else(|| self.build(column)));
+            row.push(self.take(column));
         }
         row
     }
+
+    /// The cell of `column`, moved out of the row if already built.
+    fn take(&mut self, column: usize) -> MetadataValue {
+        match self.scratch.cells[column].take() {
+            Some(built) => built,
+            None => self.build(column),
+        }
+    }
 }
 
-/// The per-scan state shared by all rows: the visitor and the scratch
+/// A materialised relation (see [`MetadataManager::catalog_rows`]):
+/// every cell of every row, row after row in one buffer, so a snapshot
+/// is one allocation however many rows it has. Indexing and
+/// [`Self::iter`] yield rows as slices, ordered by the relation's
+/// columns.
+#[derive(Clone, PartialEq)]
+pub struct CatalogRows {
+    width: usize,
+    cells: Vec<MetadataValue>,
+}
+
+impl CatalogRows {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.cells.len() / self.width
+    }
+
+    /// Whether the relation has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.cells.is_empty()
+    }
+
+    /// The rows, in the relation's order.
+    pub fn iter(&self) -> std::slice::ChunksExact<'_, MetadataValue> {
+        self.cells.chunks_exact(self.width)
+    }
+}
+
+impl std::ops::Index<usize> for CatalogRows {
+    type Output = [MetadataValue];
+
+    fn index(&self, row: usize) -> &[MetadataValue] {
+        &self.cells[row * self.width..(row + 1) * self.width]
+    }
+}
+
+impl<'a> IntoIterator for &'a CatalogRows {
+    type Item = &'a [MetadataValue];
+    type IntoIter = std::slice::ChunksExact<'a, MetadataValue>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+/// Row by row, so a snapshot compares with rows built some other way.
+impl PartialEq<Vec<Vec<MetadataValue>>> for CatalogRows {
+    fn eq(&self, other: &Vec<Vec<MetadataValue>>) -> bool {
+        self.len() == other.len() && self.iter().zip(other).all(|(a, b)| a == b.as_slice())
+    }
+}
+
+impl std::fmt::Debug for CatalogRows {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Where a scan's rows go: [`MetadataManager::catalog_scan`]'s visitor
+/// and what it keeps, or the cells of a [`CatalogRows`].
+trait RowSink {
+    /// Called once before the rows, with how many there are at most.
+    fn reserve(&mut self, rows: usize);
+    fn row(&mut self, row: &mut CatalogRow<'_>);
+}
+
+/// A visitor and the values it kept.
+struct Keep<F, T> {
+    visit: F,
+    kept: Vec<T>,
+}
+
+impl<F, T> RowSink for Keep<F, T>
+where
+    F: FnMut(&mut CatalogRow<'_>) -> Option<T>,
+{
+    fn reserve(&mut self, rows: usize) {
+        self.kept.reserve(rows);
+    }
+
+    fn row(&mut self, row: &mut CatalogRow<'_>) {
+        self.kept.extend((self.visit)(row));
+    }
+}
+
+/// Every cell of every row, built straight into the buffer.
+impl RowSink for CatalogRows {
+    fn reserve(&mut self, rows: usize) {
+        self.cells.reserve(rows * self.width);
+    }
+
+    fn row(&mut self, row: &mut CatalogRow<'_>) {
+        for column in 0..self.width {
+            let cell = row.build(column);
+            self.cells.push(cell);
+        }
+    }
+}
+
+/// The per-scan state shared by all rows: the sink and the scratch
 /// cells every [`CatalogRow`] borrows in turn.
-struct Scan<F> {
+struct Scan<S> {
     now: Timestamp,
     columns: &'static [RelationColumn],
     scratch: Scratch,
-    visit: F,
+    sink: S,
 }
 
-impl<F> Scan<F> {
-    fn row<T>(&mut self, source: RowSource<'_>) -> Option<T>
-    where
-        F: FnMut(&mut CatalogRow<'_>) -> Option<T>,
-    {
-        let kept = (self.visit)(&mut CatalogRow {
+impl<S: RowSink> Scan<S> {
+    fn row(&mut self, source: RowSource<'_>) {
+        self.sink.row(&mut CatalogRow {
             source,
             now: self.now,
             columns: self.columns,
@@ -841,9 +948,20 @@ impl<F> Scan<F> {
         for column in self.scratch.filled.drain(..) {
             self.scratch.cells[column] = None;
         }
-        kept
+    }
+
+    /// Visits `sources`, whose count is known up front.
+    fn rows<'a>(&mut self, sources: impl ExactSizeIterator<Item = RowSource<'a>>) {
+        self.sink.reserve(sources.len());
+        for source in sources {
+            self.row(source);
+        }
     }
 }
+
+/// How many handlers ahead of the row being built the walk prefetches:
+/// enough rows to cover a memory miss.
+const PREFETCH_AHEAD: usize = 8;
 
 impl MetadataManager {
     /// Scans one system relation: `visit` sees every row once, reads
@@ -854,12 +972,16 @@ impl MetadataManager {
     /// unchanged state are identical), sequence order for `sys.trace`
     /// and `sys.spans`.
     ///
-    /// The handler relations walk one key-ordered snapshot of the live
-    /// handlers, shared by every scan until the handler set changes; the
-    /// first scan after an inclusion or exclusion rebuilds it, holding
-    /// the bookkeeping lock only to copy the handler list. No manager
+    /// The handler relations walk one snapshot of the live handlers,
+    /// shared by every scan until the handler set changes. The manager
+    /// keeps its handlers in a key-ordered map, so the first scan after
+    /// an inclusion or exclusion rebuilds the snapshot by copying the
+    /// map's values under the bookkeeping lock, with no sort. No manager
     /// lock is held while `visit` runs. A visitor that keeps nothing (a
-    /// count, a running aggregate) allocates nothing per row.
+    /// count, a running aggregate) allocates nothing per row. Once a
+    /// visitor has read a cell, the walk prefetches the few cache lines
+    /// of the handler a fixed distance ahead that the cells read, so
+    /// the memory misses of successive rows overlap.
     ///
     /// `sys.trace` has record rows only while the installed trace sink
     /// is or contains a [`crate::RingBufferSink`], and a `trace_file`
@@ -869,6 +991,26 @@ impl MetadataManager {
         relation: SystemRelation,
         visit: impl FnMut(&mut CatalogRow<'_>) -> Option<T>,
     ) -> Vec<T> {
+        let keep = Keep {
+            visit,
+            kept: Vec::new(),
+        };
+        self.scan_into(relation, keep).kept
+    }
+
+    /// Materialises one system relation, every cell of every row,
+    /// ordered by the relation's columns (see
+    /// [`SystemRelation::columns`]): the rows [`Self::catalog_scan`]
+    /// visits, built into one buffer sized from the row count.
+    pub fn catalog_rows(&self, relation: SystemRelation) -> CatalogRows {
+        let rows = CatalogRows {
+            width: relation.columns().len(),
+            cells: Vec::new(),
+        };
+        self.scan_into(relation, rows)
+    }
+
+    fn scan_into<S: RowSink>(&self, relation: SystemRelation, sink: S) -> S {
         let columns = relation.columns();
         let mut scan = Scan {
             now: self.clock().now(),
@@ -876,8 +1018,9 @@ impl MetadataManager {
             scratch: Scratch {
                 cells: vec![None; columns.len()],
                 filled: Vec::with_capacity(columns.len()),
+                read: false,
             },
-            visit,
+            sink,
         };
         match relation {
             SystemRelation::Items
@@ -888,19 +1031,26 @@ impl MetadataManager {
                 // Already in key order; the edges of one item follow in
                 // edge order.
                 let handlers = self.handlers_by_key();
-                let mut kept = Vec::with_capacity(handlers.len());
-                for h in handlers.iter() {
+                scan.sink.reserve(handlers.len());
+                for (i, h) in handlers.iter().enumerate() {
+                    // Issued before this row's cells take their `Arc`
+                    // references, whose locked increments would hold
+                    // the prefetch back.
+                    if scan.scratch.read {
+                        if let Some(ahead) = handlers.get(i + PREFETCH_AHEAD) {
+                            ahead.prefetch_catalog_lines();
+                        }
+                    }
                     match relation {
                         SystemRelation::Dependencies => {
                             for edge in &edges(h) {
-                                kept.extend(scan.row(RowSource::Edge(edge)));
+                                scan.row(RowSource::Edge(edge));
                             }
                         }
                         SystemRelation::Quarantine if h.def.fallback().is_none() => {}
-                        _ => kept.extend(scan.row(RowSource::Handler(HandlerRow::new(h)))),
+                        _ => scan.row(RowSource::Handler(HandlerRow::new(h))),
                     }
                 }
-                kept
             }
             SystemRelation::Trace => {
                 let sink = self.trace_sink();
@@ -910,43 +1060,40 @@ impl MetadataManager {
                     .map(|ring| ring.snapshot())
                     .unwrap_or_default();
                 let file = sink.and_then(|sink| sink.file());
-                records
+                let rows = records
                     .iter()
                     .map(TraceRow::Record)
                     .chain(file.map(TraceRow::File))
-                    .filter_map(|row| scan.row(RowSource::Trace(row)))
-                    .collect()
+                    .map(RowSource::Trace);
+                scan.sink
+                    .reserve(records.len() + usize::from(file.is_some()));
+                for row in rows {
+                    scan.row(row);
+                }
             }
-            SystemRelation::Spans => self
-                .catalog_spans()
-                .map(|store| store.snapshot())
-                .unwrap_or_default()
-                .iter()
-                .filter_map(|span| scan.row(RowSource::Span(span)))
-                .collect(),
-            SystemRelation::Partitions => self
-                .plane()
-                .map(|plane| plane.partition_rows())
-                .unwrap_or_default()
-                .iter()
-                .filter_map(|row| scan.row(RowSource::Partition(row)))
-                .collect(),
-            SystemRelation::RemoteSubscriptions => self
-                .plane()
-                .map(|plane| plane.link_rows())
-                .unwrap_or_default()
-                .iter()
-                .filter_map(|row| scan.row(RowSource::Link(row)))
-                .collect(),
+            SystemRelation::Spans => {
+                let spans = self
+                    .catalog_spans()
+                    .map(|store| store.snapshot())
+                    .unwrap_or_default();
+                scan.rows(spans.iter().map(RowSource::Span));
+            }
+            SystemRelation::Partitions => {
+                let parts = self
+                    .plane()
+                    .map(|plane| plane.partition_rows())
+                    .unwrap_or_default();
+                scan.rows(parts.iter().map(RowSource::Partition));
+            }
+            SystemRelation::RemoteSubscriptions => {
+                let links = self
+                    .plane()
+                    .map(|plane| plane.link_rows())
+                    .unwrap_or_default();
+                scan.rows(links.iter().map(RowSource::Link));
+            }
         }
-    }
-
-    /// Materialises one system relation as rows of cells, ordered by the
-    /// relation's columns (see [`SystemRelation::columns`]):
-    /// [`Self::catalog_scan`] keeping every cell of every row.
-    pub fn catalog_rows(&self, relation: SystemRelation) -> Vec<Vec<MetadataValue>> {
-        let all: Vec<usize> = (0..relation.columns().len()).collect();
-        self.catalog_scan(relation, |row| Some(row.cells(&all)))
+        scan.sink
     }
 }
 
@@ -1076,7 +1223,7 @@ mod tests {
             .unwrap();
         let rows = manager.catalog_rows(SystemRelation::Trace);
         assert_eq!(rows.len(), ring.len() + 1);
-        let summary = rows.last().unwrap();
+        let summary = &rows[rows.len() - 1];
         assert_eq!(summary[2].as_text(), Some("trace_file"));
         assert_eq!(summary[0].as_u64(), Some(ring.len() as u64));
         assert_eq!(file.records_written(), ring.len() as u64);
@@ -1545,6 +1692,21 @@ mod tests {
         assert!(handler.upgrade().is_some(), "pinned by the subscription");
         drop(cost);
         assert!(handler.upgrade().is_none(), "dropped with its last holder");
+    }
+
+    #[test]
+    fn unprofiled_stats_neither_build_nor_invalidate_the_snapshot() {
+        let (_clock, manager) = setup();
+        let _cost = manager
+            .subscribe(MetadataKey::new(NodeId(1), "cost"))
+            .unwrap();
+        assert!(manager.profiled_handler_stats().is_empty());
+        assert!(manager.cached_handlers().is_none(), "built the snapshot");
+        manager.catalog_rows(SystemRelation::Handlers);
+        let built = manager.cached_handlers().expect("built by the scan");
+        assert!(manager.profiled_handler_stats().is_empty());
+        let kept = manager.cached_handlers().expect("still cached");
+        assert!(Arc::ptr_eq(&built, &kept), "replaced the snapshot");
     }
 
     #[test]

@@ -18,6 +18,7 @@ use streammeta_time::{TaskId, Timestamp};
 use crate::catalog::key_text;
 use crate::histogram::HistogramMonitor;
 use crate::item::{ItemDef, Mechanism, ResolvedDep};
+use crate::metrics::RetiredReads;
 use crate::trace::SpanContext;
 use crate::{MetadataKey, MetadataValue, VersionedValue};
 
@@ -26,6 +27,61 @@ use crate::{MetadataKey, MetadataValue, VersionedValue};
 /// the percentile estimate at the upper edge.
 const LATENCY_HI_NS: i64 = 1 << 20;
 const LATENCY_BUCKETS: usize = 256;
+
+/// The byte range of a [`Handler`] that spans every field a
+/// `sys.items` or `sys.handlers` cell reads besides the definition: the
+/// key, the refcount, the value cell, the counters, the latency
+/// histogram and the key text. The compiler lays them out together, in
+/// 3–4 of the handler's cache lines.
+const CATALOG_FIELDS: (usize, usize) = {
+    use std::mem::{offset_of, size_of};
+    let fields = [
+        (offset_of!(Handler, key), size_of::<MetadataKey>()),
+        (offset_of!(Handler, subscriptions), size_of::<AtomicUsize>()),
+        (offset_of!(Handler, cell), size_of::<ScalarCell>()),
+        (offset_of!(Handler, accesses), size_of::<AtomicU64>()),
+        (offset_of!(Handler, key_accesses), size_of::<AtomicU64>()),
+        (offset_of!(Handler, updates), size_of::<AtomicU64>()),
+        (offset_of!(Handler, computes), size_of::<AtomicU64>()),
+        (offset_of!(Handler, last_epoch), size_of::<AtomicU64>()),
+        (
+            offset_of!(Handler, latency),
+            size_of::<OnceLock<Arc<HistogramMonitor>>>(),
+        ),
+        (
+            offset_of!(Handler, key_text),
+            size_of::<OnceLock<Arc<str>>>(),
+        ),
+    ];
+    let (mut first, mut end) = (usize::MAX, 0);
+    let mut i = 0;
+    while i < fields.len() {
+        let (offset, size) = fields[i];
+        if offset < first {
+            first = offset;
+        }
+        if offset + size > end {
+            end = offset + size;
+        }
+        i += 1;
+    }
+    (first, end)
+};
+
+/// Asks the CPU to start loading the cache line holding `at` into all
+/// cache levels. A no-op off x86-64.
+#[inline(always)]
+fn prefetch(at: *const u8) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch is a hint. It never faults, whatever the
+    // address, and reads nothing the program can observe.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(at.cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = at;
+}
 
 /// Push observer signature: called with each stored value change.
 pub type ObserverFn = dyn Fn(&VersionedValue) + Send + Sync;
@@ -238,6 +294,15 @@ pub(crate) struct Handler {
     latency: OnceLock<Arc<HistogramMonitor>>,
     /// See [`Self::key_text`]; inclusion leaves it empty.
     key_text: OnceLock<Arc<str>>,
+    /// Set by [`Self::retire`] at exclusion.
+    retired: OnceLock<Retired>,
+}
+
+/// Where an excluded handler's reads were folded, and how many were.
+struct Retired {
+    into: Arc<RetiredReads>,
+    accesses: u64,
+    fast_reads: u64,
 }
 
 impl Handler {
@@ -265,13 +330,37 @@ impl Handler {
             defunct: AtomicBool::new(false),
             latency: OnceLock::new(),
             key_text: OnceLock::new(),
+            retired: OnceLock::new(),
         }
     }
 
-    /// Records one profiled compute evaluation of `ns` nanoseconds.
-    pub(crate) fn observe_latency(&self, ns: i64) {
+    /// Folds the reads so far into `into`, the manager's totals for
+    /// excluded handlers, when the handler leaves the live set. A
+    /// subscription that pinned the handler may read it afterwards (or
+    /// a key read may finish on it); those reads are folded in when the
+    /// handler drops, so each read is counted once and the totals never
+    /// go down.
+    pub(crate) fn retire(&self, into: &Arc<RetiredReads>) {
+        let fast_reads = self.fast_access_count();
+        let accesses = fast_reads + self.key_accesses.load(Ordering::Relaxed);
+        into.accesses.fetch_add(accesses, Ordering::Relaxed);
+        into.fast_reads.fetch_add(fast_reads, Ordering::Relaxed);
+        let retired = Retired {
+            into: into.clone(),
+            accesses,
+            fast_reads,
+        };
+        let first = self.retired.set(retired).is_ok();
+        debug_assert!(first, "retired twice");
+    }
+
+    /// Records one profiled compute evaluation of `ns` nanoseconds;
+    /// `true` if it was the first, which allocated the histogram.
+    pub(crate) fn observe_latency(&self, ns: i64) -> bool {
+        let mut first = false;
         self.latency
             .get_or_init(|| {
+                first = true;
                 let h = HistogramMonitor::new(0, LATENCY_HI_NS, LATENCY_BUCKETS);
                 // The manager's profiling flag is the real gate; the
                 // histogram itself stays armed for the handler's lifetime.
@@ -279,6 +368,7 @@ impl Handler {
                 h
             })
             .observe(ns);
+        first
     }
 
     /// Compute-latency p50/p95/p99 in nanoseconds, from one copy of the
@@ -290,6 +380,20 @@ impl Handler {
             .get()?
             .percentiles::<LATENCY_BUCKETS, 3>([0.50, 0.95, 0.99])?;
         Some(quantiles.map(|v| v.max(0) as u64))
+    }
+
+    /// Starts loading the cache lines the catalog's cells read (key,
+    /// value cell, counters, key text; see [`CATALOG_FIELDS`]) without
+    /// waiting for them.
+    pub(crate) fn prefetch_catalog_lines(&self) {
+        let base = (self as *const Handler).cast::<u8>();
+        let (first, end) = CATALOG_FIELDS;
+        let mut at = first;
+        while at < end {
+            prefetch(base.wrapping_add(at));
+            at += 64;
+        }
+        prefetch(base.wrapping_add(end - 1));
     }
 
     /// The key's display text, built by the first catalog read of this
@@ -510,6 +614,21 @@ pub struct HandlerStats {
     pub latency_p99: Option<u64>,
 }
 
+impl Drop for Handler {
+    fn drop(&mut self) {
+        if let Some(retired) = self.retired.get() {
+            let fast_reads = self.fast_access_count();
+            let accesses = self.access_count();
+            let into = &retired.into;
+            // Counters only grow, so neither difference is negative.
+            into.accesses
+                .fetch_add(accesses - retired.accesses, Ordering::Relaxed);
+            into.fast_reads
+                .fetch_add(fast_reads - retired.fast_reads, Ordering::Relaxed);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -521,6 +640,14 @@ mod tests {
             ItemDef::static_value("x", 1u64),
             Vec::new(),
         )
+    }
+
+    #[test]
+    fn a_catalog_row_prefetches_at_most_four_lines() {
+        let (first, end) = CATALOG_FIELDS;
+        // However the handler is aligned, a range of 3 * 64 + 1 bytes
+        // touches at most four 64-byte lines.
+        assert!(end - first <= 3 * 64 + 1, "{first}..{end}");
     }
 
     #[test]

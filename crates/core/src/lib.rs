@@ -90,7 +90,9 @@ pub mod sync;
 mod trace;
 mod value;
 
-pub use catalog::{CatalogRow, ColumnType, RelationColumn, SystemRelation, CATALOG_NODE};
+pub use catalog::{
+    CatalogRow, CatalogRows, ColumnType, RelationColumn, SystemRelation, CATALOG_NODE,
+};
 pub use error::{MetadataError, Result};
 pub use estimators::{Ewma, IntervalRate, OnlineAverage, OnlineVariance, WindowDelta};
 pub use fault::{DelayFn, FaultAction, FaultPlan, FaultSchedule};

@@ -33,7 +33,7 @@
 //!   under the bookkeeping mutex — concurrent readers only share a
 //!   shard read lock.
 
-use std::collections::{hash_map, BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{btree_map, BTreeMap, HashMap, HashSet, VecDeque};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -60,16 +60,14 @@ use crate::{
 
 #[derive(Default)]
 struct Inner {
-    /// Authoritative handler map. The refcount lives in
+    /// Authoritative handler map, in key order. The refcount lives in
     /// [`Handler::subscriptions`], mutated only while this mutex is
     /// held; the sharded index mirrors this map for lock-free readers.
-    handlers: HashMap<MetadataKey, Arc<Handler>>,
+    handlers: BTreeMap<MetadataKey, Arc<Handler>>,
     /// Inverted dependency edges: source -> items that depend on it.
     dependents: HashMap<DepSource, Vec<MetadataKey>>,
-    /// Bumped by every change to `handlers`.
-    generation: u64,
-    /// `handlers` in key order as of `generation`, cached by the first
-    /// catalog scan after a change ([`MetadataManager::handlers_by_key`]).
+    /// The values of `handlers`, copied by the first catalog scan after
+    /// a change ([`MetadataManager::handlers_by_key`]).
     by_key: Option<Arc<[Arc<Handler>]>>,
     /// The `by_key` a change retired, dropped after the lock is released
     /// (see [`Bookkeeping`]) so that no `Arc` traffic runs under it.
@@ -80,7 +78,6 @@ impl Inner {
     /// Records a change to `handlers`: the cached key-ordered snapshot
     /// no longer matches and is retired.
     fn handlers_changed(&mut self) {
-        self.generation += 1;
         if let Some(stale) = self.by_key.take() {
             self.retired = Some(stale);
         }
@@ -254,6 +251,9 @@ pub struct MetadataManager {
     /// Gates the per-compute latency measurement (two `Instant` reads per
     /// evaluation when on).
     profile_latency: AtomicBool,
+    /// Set when the first handler allocates its latency histogram, and
+    /// never cleared: until then no handler has quantiles to report.
+    latency_profiled: AtomicBool,
     /// Subscription-time validation hook (static analysis integration):
     /// consulted by `subscribe` before any inclusion happens.
     validator: RwLock<Option<ValidatorHook>>,
@@ -340,6 +340,7 @@ impl MetadataManager {
             trace_sink: RwLock::new(None),
             trace_seq: Mutex::new(0),
             profile_latency: AtomicBool::new(false),
+            latency_profiled: AtomicBool::new(false),
             validator: RwLock::new(None),
             validation_warnings: Mutex::new(Vec::new()),
             span_ratio: AtomicU64::new(0),
@@ -586,34 +587,32 @@ impl MetadataManager {
     /// The live handlers in key order — the raw material of the catalog
     /// relations — shared by every catalog scan until the handler set
     /// changes. The first scan after a change copies the handler `Arc`s
-    /// under the bookkeeping lock, sorts them after releasing it, and
-    /// caches the result unless the set changed in the meantime.
+    /// out of the key-ordered map under the bookkeeping lock; nothing
+    /// is sorted.
     pub(crate) fn handlers_by_key(&self) -> Arc<[Arc<Handler>]> {
-        let (generation, mut handlers) = {
-            let inner = self.inner.lock();
-            if let Some(cached) = &inner.by_key {
-                return cached.clone();
-            }
-            let handlers: Vec<Arc<Handler>> = inner.handlers.values().cloned().collect();
-            (inner.generation, handlers)
-        };
-        handlers.sort_unstable_by(|a, b| a.key.cmp(&b.key));
-        let sorted: Arc<[Arc<Handler>]> = handlers.into();
-        let mut inner = self.inner.lock();
-        if inner.generation == generation && inner.by_key.is_none() {
-            inner.by_key = Some(sorted.clone());
-        }
-        sorted
+        let mut guard = self.inner.lock();
+        let Inner {
+            handlers, by_key, ..
+        } = &mut *guard;
+        by_key
+            .get_or_insert_with(|| handlers.values().cloned().collect())
+            .clone()
     }
 
-    /// Runs `f` over the live handlers (in no particular order) under
-    /// the bookkeeping lock and returns its result; a counter that
-    /// exclusion folds under the same lock, read inside `f`, agrees with
-    /// the handlers `f` sees. `f` must not call back into the manager's
+    /// The key-ordered handler snapshot, if one is cached.
+    #[cfg(test)]
+    pub(crate) fn cached_handlers(&self) -> Option<Arc<[Arc<Handler>]>> {
+        self.inner.lock().by_key.clone()
+    }
+
+    /// Runs `f` over the live handlers (in key order) under the
+    /// bookkeeping lock and returns its result; a counter that exclusion
+    /// folds under the same lock, read inside `f`, agrees with the
+    /// handlers `f` sees. `f` must not call back into the manager's
     /// bookkeeping.
     pub(crate) fn with_handlers<T>(
         &self,
-        f: impl FnOnce(hash_map::Values<'_, MetadataKey, Arc<Handler>>) -> T,
+        f: impl FnOnce(btree_map::Values<'_, MetadataKey, Arc<Handler>>) -> T,
     ) -> T {
         f(self.inner.lock().handlers.values())
     }
@@ -1082,12 +1081,7 @@ impl MetadataManager {
         };
         inner.handlers_changed();
         self.shards.remove(key);
-        self.slots
-            .retired_accesses
-            .fetch_add(handler.access_count(), Ordering::Relaxed);
-        self.slots
-            .retired_fast_reads
-            .fetch_add(handler.fast_access_count(), Ordering::Relaxed);
+        handler.retire(&self.slots.retired);
         for dep in &handler.resolved_deps {
             if let Some(list) = inner.dependents.get_mut(&dep.source) {
                 list.retain(|k| k != key);
@@ -1330,9 +1324,7 @@ impl MetadataManager {
 
     /// The keys of all live handlers, sorted.
     pub fn included_keys(&self) -> Vec<MetadataKey> {
-        let mut v: Vec<_> = self.inner.lock().handlers.keys().cloned().collect();
-        v.sort();
-        v
+        self.inner.lock().handlers.keys().cloned().collect()
     }
 
     /// Per-item statistics, if the item is included. Served by the
@@ -1344,8 +1336,12 @@ impl MetadataManager {
     /// The statistics of every included item with compute-latency
     /// observations (see [`Self::set_latency_profiling`]), sorted by
     /// key: one pass over the catalog's key-ordered handler snapshot,
-    /// skipping the never-profiled.
+    /// skipping the never-profiled. Until some handler has been
+    /// profiled, no pass and no snapshot.
     pub fn profiled_handler_stats(&self) -> Vec<(MetadataKey, HandlerStats)> {
+        if !self.latency_profiled.load(Ordering::Relaxed) {
+            return Vec::new();
+        }
         self.handlers_by_key()
             .iter()
             .filter_map(|h| {
@@ -1489,7 +1485,9 @@ impl MetadataManager {
         }));
         if let Some(started) = started {
             let ns = started.elapsed().as_nanos().min(i64::MAX as u128) as i64;
-            handler.observe_latency(ns);
+            if handler.observe_latency(ns) {
+                self.latency_profiled.store(true, Ordering::Relaxed);
+            }
         }
         let overran = match (deadline, clock_start) {
             (Some(budget), Some(t0)) => {

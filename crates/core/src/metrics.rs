@@ -10,6 +10,7 @@
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use crate::manager::MetadataManager;
 use crate::meta::META_NODE;
@@ -164,12 +165,20 @@ impl Metric {
 #[derive(Default)]
 pub(crate) struct MetricSlots {
     slots: [AtomicU64; Metric::ALL.len()],
-    /// Access counts of excluded handlers, folded in on removal so the
-    /// access total survives handler death.
-    pub(crate) retired_accesses: AtomicU64,
-    /// The cached-subscription share of `retired_accesses`. Every read
-    /// counts on its handler alone (one atomic on either read path).
-    pub(crate) retired_fast_reads: AtomicU64,
+    /// The reads of excluded handlers.
+    pub(crate) retired: Arc<RetiredReads>,
+}
+
+/// The reads of excluded handlers, so the access totals survive handler
+/// death. A handler's reads are folded in when it is excluded, and the
+/// reads a subscription that pinned it makes after that are folded in
+/// when it drops ([`crate::handler::Handler::retire`]).
+#[derive(Default)]
+pub(crate) struct RetiredReads {
+    pub(crate) accesses: AtomicU64,
+    /// The cached-subscription share of `accesses`. Every read counts on
+    /// its handler alone (one atomic on either read path).
+    pub(crate) fast_reads: AtomicU64,
 }
 
 impl MetricSlots {
@@ -261,8 +270,9 @@ impl MetadataManager {
                 scan.fast_reads += h.fast_access_count();
                 scan.quarantined += u64::from(self.is_quarantined(h));
             }
-            scan.accesses += self.slots.retired_accesses.load(Ordering::Relaxed);
-            scan.fast_reads += self.slots.retired_fast_reads.load(Ordering::Relaxed);
+            let retired = &self.slots.retired;
+            scan.accesses += retired.accesses.load(Ordering::Relaxed);
+            scan.fast_reads += retired.fast_reads.load(Ordering::Relaxed);
             scan
         })
     }

@@ -246,7 +246,10 @@ fn concurrent_lifecycle_fuzz_never_panics() {
 /// over a two-item cascade. `accesses` used to go down: the handler
 /// walk and the load of the retired-access total were two critical
 /// sections, so an exclusion folding in between was counted twice in
-/// one scan and once in the next.
+/// one scan and once in the next. At quiescence, `accesses` and
+/// `fast_reads` equal the reads performed: a read that reached its
+/// handler after an exclusion folded the handler's count used to be
+/// counted nowhere.
 #[test]
 fn counter_metrics_never_decrease_under_churn() {
     const ITERS: usize = 2000;
@@ -273,15 +276,20 @@ fn counter_metrics_never_decrease_under_churn() {
     };
 
     let done = AtomicU64::new(0);
+    let (cached_reads, key_reads) = (AtomicU64::new(0), AtomicU64::new(0));
     std::thread::scope(|s| {
         for t in 0..2 {
             let (mgr, done) = (&mgr, &done);
+            let (cached_reads, key_reads) = (&cached_reads, &key_reads);
             s.spawn(move || {
                 for i in 0..ITERS {
                     let item = if (t + i) % 2 == 0 { "x" } else { "y" };
                     if let Ok(sub) = mgr.subscribe(key(item)) {
                         let _ = sub.get();
-                        let _ = mgr.read(&key(item));
+                        cached_reads.fetch_add(1, Ordering::Relaxed);
+                        if mgr.read(&key(item)).is_ok() {
+                            key_reads.fetch_add(1, Ordering::Relaxed);
+                        }
                         drop(sub);
                     }
                 }
@@ -309,6 +317,9 @@ fn counter_metrics_never_decrease_under_churn() {
             last = now;
         }
     });
+    let (cached_reads, key_reads) = (cached_reads.into_inner(), key_reads.into_inner());
+    assert_eq!(mgr.metric(Metric::FastReads), Some(cached_reads));
+    assert_eq!(mgr.metric(Metric::Accesses), Some(cached_reads + key_reads));
 }
 
 /// Catalog scans racing inclusion and exclusion: each scan of

@@ -6,9 +6,9 @@
 use std::sync::Arc;
 
 use streammeta_core::{
-    ColumnType, EventKey, FallbackPolicy, ItemDef, MetadataKey, MetadataManager, MetadataValue,
-    NodeId, NodeRegistry, PartitionedMetadataPlane, RingBufferSink, RotatingFileSink, SpanSampling,
-    Subscription, SystemRelation, TeeSink,
+    CatalogRows, ColumnType, EventKey, FallbackPolicy, ItemDef, MetadataKey, MetadataManager,
+    MetadataValue, NodeId, NodeRegistry, PartitionedMetadataPlane, RingBufferSink,
+    RotatingFileSink, SpanSampling, Subscription, SystemRelation, TeeSink,
 };
 use streammeta_cql::{attach_system, cell_to_value, query_once, relation_schema, Catalog};
 use streammeta_streams::{Value, ValueType};
@@ -208,14 +208,14 @@ impl Plan {
     }
 
     /// What `query_once` did before the pushdown, over finished rows.
-    fn reference(&self, rows: Vec<Vec<MetadataValue>>) -> Vec<Vec<MetadataValue>> {
+    fn reference(&self, rows: CatalogRows) -> Vec<Vec<MetadataValue>> {
         fn cell_f64(cell: &MetadataValue) -> Option<f64> {
             match cell {
                 MetadataValue::Bool(b) => Some(if *b { 1.0 } else { 0.0 }),
                 other => other.as_f64(),
             }
         }
-        let matched = rows.into_iter().filter(|row| {
+        let matched = rows.iter().filter(|row| {
             self.predicates.iter().all(|(col, op, rhs)| {
                 let Some(l) = row.get(*col).and_then(cell_f64) else {
                     return false;
@@ -233,7 +233,7 @@ impl Plan {
             })
         });
         match &self.output {
-            Output::Star => matched.collect(),
+            Output::Star => matched.map(<[_]>::to_vec).collect(),
             Output::Columns(indices) => matched
                 .map(|row| indices.iter().map(|&i| row[i].clone()).collect())
                 .collect(),
@@ -261,7 +261,7 @@ impl Plan {
 /// Every output shape with every kind of predicate list, generated
 /// from the relation's own rows: thresholds are cell values, so `<`, `=`
 /// and `>` each split the relation somewhere.
-fn plans(relation: SystemRelation, rows: &[Vec<MetadataValue>]) -> Vec<Plan> {
+fn plans(relation: SystemRelation, rows: &CatalogRows) -> Vec<Plan> {
     let n = relation.columns().len();
     let text = (0..n).find(|&c| relation.columns()[c].ty == ColumnType::Str);
     let mut predicate_lists: Vec<Vec<(usize, char, Rhs)>> = vec![vec![]];

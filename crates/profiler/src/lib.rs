@@ -12,8 +12,8 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use streammeta_core::{
-    MetadataKey, MetadataManager, MetadataValue, Metric, Result, Subscription, SystemRelation,
-    TraceRecord,
+    CatalogRows, MetadataKey, MetadataManager, MetadataValue, Metric, Result, Subscription,
+    SystemRelation, TraceRecord,
 };
 use streammeta_time::Timestamp;
 
@@ -291,7 +291,7 @@ fn key_labels(key: &MetadataKey) -> String {
 /// human-readable table: a header row of the relation's column names, a
 /// rule, then one line per row with every column left-aligned to its
 /// widest cell.
-pub fn render_relation(relation: SystemRelation, rows: &[Vec<MetadataValue>]) -> String {
+pub fn render_relation(relation: SystemRelation, rows: &CatalogRows) -> String {
     let columns = relation.columns();
     let mut widths: Vec<usize> = columns.iter().map(|c| c.name.len()).collect();
     let rendered: Vec<Vec<String>> = rows
@@ -790,7 +790,10 @@ mod tests {
         let offset = lines[1].find("node").unwrap();
         assert!(lines[3][offset..].starts_with('1'), "{:?}", lines[3]);
         // Empty snapshots still render a header.
-        let empty = render_relation(SystemRelation::Quarantine, &[]);
+        let empty = render_relation(
+            SystemRelation::Quarantine,
+            &mgr.catalog_rows(SystemRelation::Quarantine),
+        );
         assert!(empty.starts_with("sys.quarantine (0 rows)"));
         assert!(empty.contains("key  state"));
     }
@@ -820,6 +823,28 @@ mod tests {
             );
         }
         assert!(text.contains("streammeta_handler_compute_seconds_count{node=\"n0\",item=\"t\"} 6"));
+    }
+
+    #[test]
+    fn a_handler_profiled_before_profiling_went_off_stays_in_the_scrape() {
+        let (_clock, mgr) = setup();
+        let rec = Recorder::new(mgr.clone());
+        let sub = mgr.subscribe(MetadataKey::new(NodeId(0), "t")).unwrap();
+        mgr.set_latency_profiling(true);
+        sub.get();
+        mgr.set_latency_profiling(false);
+        sub.get();
+        let text = rec.render_prometheus();
+        assert!(
+            text.contains(
+                "streammeta_handler_compute_seconds{node=\"n0\",item=\"t\",quantile=\"0.5\"}"
+            ),
+            "{text}"
+        );
+        assert!(
+            text.contains("streammeta_handler_compute_seconds_count{node=\"n0\",item=\"t\"} 2"),
+            "{text}"
+        );
     }
 
     #[test]
